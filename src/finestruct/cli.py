@@ -48,7 +48,7 @@ def read_csv_features(path: str) -> list[FeatureSeries]:
     does not parse as a finite number with a '.' decimal point.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")  # drops a leading BOM
     except OSError as exc:
         raise CsvError(f"cannot read {path}: {exc}") from exc
     with fh:

@@ -82,9 +82,10 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class GaussianOverlay:
+    """Robust normal fit; the renderer samples its pdf on the glyph's kernels."""
+
     mu: float
     sigma: float
-    curve: np.ndarray  # normal pdf sampled on the glyph's kernels
 
 
 @dataclass(frozen=True)
@@ -192,17 +193,18 @@ def subsample(f: FeatureSeries, cap_per_feature: int, seed: int = 0) -> FeatureS
 
 
 def _van_der_corput(start: int, count: int) -> np.ndarray:
-    """Base-2 radical-inverse sequence; low-discrepancy in (0, 1)."""
-    out = np.empty(count)
-    for i in range(count):
-        k = start + i
-        v = 0.0
-        denom = 1.0
-        while k:
-            denom *= 2.0
-            v += (k & 1) / denom
-            k >>= 1
-        out[i] = v
+    """Base-2 radical-inverse sequence; low-discrepancy in (0, 1).
+
+    Bits are added from the least significant up; every partial sum is dyadic
+    and exact, so the values equal those of a scalar digit loop.
+    """
+    k = np.arange(start, start + count, dtype=np.uint64)
+    out = np.zeros(count)
+    denom = 1.0
+    while k.any():
+        denom *= 2.0
+        out += (k & 1) / denom
+        k >>= 1
     return out
 
 
@@ -266,8 +268,7 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> tuple[GlyphModel, Fe
         except DegenerateSpread:
             pass
         else:
-            pdf = np.exp(-0.5 * ((curve.kernels - mu) / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
-            overlay = GaussianOverlay(mu, sigma, pdf)
+            overlay = GaussianOverlay(mu, sigma)
     box = _box_overlay(f.values) if cfg.boxplot_overlay else None
     glyph = GlyphModel(
         f.name,

@@ -2,9 +2,10 @@
 
 The dip statistic is the minimum over all unimodal distribution functions of
 the sup distance to the empirical CDF, computed exactly on sorted data with
-the greatest-convex-minorant / least-concave-majorant iteration. Its p-value
-comes from seeded Monte Carlo against the uniform null. Skewness uses the
-classic transformation of g1 to an approximately standard-normal z.
+the greatest-convex-minorant / least-concave-majorant iteration. The dip
+runs in pure Python on lists of floats; numpy is the only dependency. Its
+p-value comes from seeded Monte Carlo against the uniform null. Skewness uses
+the classic transformation of g1 to an approximately standard-normal z.
 """
 from __future__ import annotations
 
@@ -46,14 +47,16 @@ class TestReport:
         }
 
 
-def _dip_sorted(x):
-    """Dip of an ascending-sorted sample, in [1/(2n), 1/4].
+def _dip_sorted(x: list) -> float:
+    """Dip of an ascending-sorted sample, given as a list of floats.
 
     Iteratively fits the greatest convex minorant and least concave majorant
     of the ECDF on a shrinking modal interval; the running maximum discrepancy
-    (kept in units of 2n) is the dip. Ties are handled natively.
+    (kept in units of 2n) is the dip, in [1/(2n), 1/4]. Ties are handled
+    natively. Python lists and floats index several times faster than ndarray
+    scalars in these loops.
     """
-    n = x.shape[0]
+    n = len(x)
     if x[n - 1] == x[0]:
         return 0.5 / n
     low = 0
@@ -61,30 +64,33 @@ def _dip_sorted(x):
     dip = 1.0  # in 2n units; enforces the 1/(2n) lower bound
 
     # mn[j]: start of the convex-minorant chord ending at j
-    mn = np.empty(n, np.int64)
-    mn[0] = 0
+    mn = [0] * n
     for j in range(1, n):
-        mn[j] = j - 1
-        while True:
-            mnj = mn[j]
-            mnmnj = mn[mnj]
-            if mnj == 0 or (x[j] - x[mnj]) * (mnj - mnmnj) < (x[mnj] - x[mnmnj]) * (j - mnj):
+        xj = x[j]
+        m = j - 1
+        while m > 0:
+            mm = mn[m]
+            xm = x[m]
+            if (xj - xm) * (m - mm) < (xm - x[mm]) * (j - m):
                 break
-            mn[j] = mnmnj
+            m = mm
+        mn[j] = m
     # mj[k]: end of the concave-majorant chord starting at k
-    mj = np.empty(n, np.int64)
+    mj = [0] * n
     mj[n - 1] = n - 1
     for k in range(n - 2, -1, -1):
-        mj[k] = k + 1
-        while True:
-            mjk = mj[k]
-            mjmjk = mj[mjk]
-            if mjk == n - 1 or (x[k] - x[mjk]) * (mjk - mjmjk) < (x[mjk] - x[mjmjk]) * (k - mjk):
+        xk = x[k]
+        m = k + 1
+        while m != n - 1:
+            mm = mj[m]
+            xm = x[m]
+            if (xk - xm) * (m - mm) < (xm - x[mm]) * (k - m):
                 break
-            mj[k] = mjmjk
+            m = mm
+        mj[k] = m
 
-    gcm = np.empty(n, np.int64)
-    lcm = np.empty(n, np.int64)
+    gcm = [0] * n
+    lcm = [0] * n
     while True:
         gcm[0] = high
         i = 0
@@ -141,10 +147,11 @@ def _dip_sorted(x):
             max_t = 1.0
             jb = gcm[j + 1]
             je = gcm[j]
-            if je - jb > 1 and x[je] != x[jb]:
-                c = (je - jb) / (x[je] - x[jb])
+            xjb = x[jb]
+            if je - jb > 1 and x[je] != xjb:
+                c = (je - jb) / (x[je] - xjb)
                 for jj in range(jb, je + 1):
-                    t = (jj - jb + 1) - (x[jj] - x[jb]) * c
+                    t = (jj - jb + 1) - (x[jj] - xjb) * c
                     if max_t < t:
                         max_t = t
             if dip_l < max_t:
@@ -155,10 +162,11 @@ def _dip_sorted(x):
             max_t = 1.0
             jb = lcm[j]
             je = lcm[j + 1]
-            if je - jb > 1 and x[je] != x[jb]:
-                c = (je - jb) / (x[je] - x[jb])
+            xjb = x[jb]
+            if je - jb > 1 and x[je] != xjb:
+                c = (je - jb) / (x[je] - xjb)
                 for jj in range(jb, je + 1):
-                    t = (x[jj] - x[jb]) * c - (jj - jb - 1)
+                    t = (x[jj] - xjb) * c - (jj - jb - 1)
                     if max_t < t:
                         max_t = t
             if dip_u < max_t:
@@ -174,21 +182,12 @@ def _dip_sorted(x):
     return dip / (2.0 * n)
 
 
-_dip_sorted_py = _dip_sorted
-try:  # JIT-compile the inner loop; the pure-Python path stays as fallback
-    import numba
-
-    _dip_sorted = numba.njit("float64(float64[::1])", cache=True)(_dip_sorted_py)
-except ImportError:  # pragma: no cover
-    pass
-
-
 def dip_statistic(values) -> float:
     """Hartigan-Hartigan dip of a sample; larger means less unimodal."""
     x = np.asarray(values, dtype=float).ravel()
     if x.size < 2:
         raise TooFewPoints("dip_statistic needs at least 2 values")
-    return float(_dip_sorted(np.sort(x)))
+    return _dip_sorted(np.sort(x).tolist())
 
 
 @functools.lru_cache(maxsize=16)
@@ -199,7 +198,7 @@ def _null_dips(n: int, b: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         u = rng.random(n)
         u.sort()
-        out[i] = _dip_sorted(u)
+        out[i] = _dip_sorted(u.tolist())
     out.setflags(write=False)
     return out
 

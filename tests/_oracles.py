@@ -1,9 +1,10 @@
 """Independent oracles used to derive and verify expected test values.
 
 These deliberately share no code with the package: the dip oracle solves
-linear programs over piecewise-linear unimodal CDFs, the skewness oracle
-re-derives the z transformation step by step in plain math, and the
-skew-normal moment oracle integrates the density numerically.
+linear programs over piecewise-linear unimodal CDFs, the dip reference is a
+frozen copy of the earlier ndarray dip kernel, the skewness oracle re-derives
+the z transformation step by step in plain math, and the skew-normal moment
+oracle integrates the density numerically.
 """
 import math
 
@@ -115,6 +116,135 @@ def dip_lp_oracle(data) -> float:
         best = min(best, solve(a_ub, b_ub, a_eq, b_eq, nvar))
 
     return float(best)
+
+
+def dip_sorted_reference(x):
+    """Dip of an ascending-sorted float64 array, in [1/(2n), 1/4].
+
+    A frozen copy of the package's earlier ndarray kernel (greatest convex
+    minorant / least concave majorant iteration on ndarray scalars). The
+    package's list kernel must return bit-identical values; keep this copy
+    unchanged.
+    """
+    n = x.shape[0]
+    if x[n - 1] == x[0]:
+        return 0.5 / n
+    low = 0
+    high = n - 1
+    dip = 1.0  # in 2n units; enforces the 1/(2n) lower bound
+
+    # mn[j]: start of the convex-minorant chord ending at j
+    mn = np.empty(n, np.int64)
+    mn[0] = 0
+    for j in range(1, n):
+        mn[j] = j - 1
+        while True:
+            mnj = mn[j]
+            mnmnj = mn[mnj]
+            if mnj == 0 or (x[j] - x[mnj]) * (mnj - mnmnj) < (x[mnj] - x[mnmnj]) * (j - mnj):
+                break
+            mn[j] = mnmnj
+    # mj[k]: end of the concave-majorant chord starting at k
+    mj = np.empty(n, np.int64)
+    mj[n - 1] = n - 1
+    for k in range(n - 2, -1, -1):
+        mj[k] = k + 1
+        while True:
+            mjk = mj[k]
+            mjmjk = mj[mjk]
+            if mjk == n - 1 or (x[k] - x[mjk]) * (mjk - mjmjk) < (x[mjk] - x[mjmjk]) * (k - mjk):
+                break
+            mj[k] = mjmjk
+
+    gcm = np.empty(n, np.int64)
+    lcm = np.empty(n, np.int64)
+    while True:
+        gcm[0] = high
+        i = 0
+        while gcm[i] > low:
+            gcm[i + 1] = mn[gcm[i]]
+            i += 1
+        ig = i
+        l_gcm = i
+        ix = ig - 1
+
+        lcm[0] = low
+        i = 0
+        while lcm[i] < high:
+            lcm[i + 1] = mj[lcm[i]]
+            i += 1
+        ih = i
+        l_lcm = i
+        iv = 1
+
+        # largest distance between the two fits, walked from both ends
+        d = 0.0
+        if l_gcm != 1 or l_lcm != 1:
+            while True:
+                gcmix = gcm[ix]
+                lcmiv = lcm[iv]
+                if gcmix > lcmiv:
+                    gcmil = gcm[ix + 1]
+                    dx = (lcmiv - gcmil + 1) - (x[lcmiv] - x[gcmil]) * (gcmix - gcmil) / (x[gcmix] - x[gcmil])
+                    iv += 1
+                    if dx >= d:
+                        d = dx
+                        ig = ix + 1
+                        ih = iv - 1
+                else:
+                    lcmivl = lcm[iv - 1]
+                    dx = (x[gcmix] - x[lcmivl]) * (lcmiv - lcmivl) / (x[lcmiv] - x[lcmivl]) - (gcmix - lcmivl - 1)
+                    ix -= 1
+                    if dx >= d:
+                        d = dx
+                        ig = ix + 1
+                        ih = iv
+                if ix < 0:
+                    ix = 0
+                if iv > l_lcm:
+                    iv = l_lcm
+                if gcm[ix] == lcm[iv]:
+                    break
+        if d < dip:
+            break
+
+        # dip of the convex minorant within the current modal interval
+        dip_l = 0.0
+        for j in range(ig, l_gcm):
+            max_t = 1.0
+            jb = gcm[j + 1]
+            je = gcm[j]
+            if je - jb > 1 and x[je] != x[jb]:
+                c = (je - jb) / (x[je] - x[jb])
+                for jj in range(jb, je + 1):
+                    t = (jj - jb + 1) - (x[jj] - x[jb]) * c
+                    if max_t < t:
+                        max_t = t
+            if dip_l < max_t:
+                dip_l = max_t
+        # dip of the concave majorant
+        dip_u = 0.0
+        for j in range(ih, l_lcm):
+            max_t = 1.0
+            jb = lcm[j]
+            je = lcm[j + 1]
+            if je - jb > 1 and x[je] != x[jb]:
+                c = (je - jb) / (x[je] - x[jb])
+                for jj in range(jb, je + 1):
+                    t = (x[jj] - x[jb]) * c - (jj - jb - 1)
+                    if max_t < t:
+                        max_t = t
+            if dip_u < max_t:
+                dip_u = max_t
+
+        dip_new = dip_u if dip_u > dip_l else dip_l
+        if dip < dip_new:
+            dip = dip_new
+        if low == gcm[ig] and high == lcm[ih]:
+            break
+        low = gcm[ig]
+        high = lcm[ih]
+    return dip / (2.0 * n)
 
 
 def skewness_z_oracle(values):

@@ -200,6 +200,13 @@ class TestTestCommand:
         assert main(["test", str(csv_path), "zzz"]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_bom_prefixed_first_column_found(self, tmp_path, capsys):
+        csv_path = _write_normal_csv(tmp_path / "in.csv")
+        csv_path.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+        rc = main(["test", str(csv_path), "a", "--replicates", "50", "--seed", "1", "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 300
+
 
 class TestGenCommand:
     def test_uniform_rows_in_range(self, tmp_path):

@@ -15,6 +15,7 @@ from finestruct import (
     order_features,
     subsample,
 )
+from finestruct.engine import _van_der_corput
 
 FAST = EngineConfig(replicates=200, seed=7)
 
@@ -107,6 +108,21 @@ class TestAnalyzeFeature:
         g2, _ = analyze_feature(f, FAST)
         assert np.array_equal(g1.offsets, g2.offsets)
         assert np.all(np.abs(g1.offsets) <= 0.3)
+
+    def test_van_der_corput_matches_scalar_digits(self):
+        def scalar(k):
+            v, denom = 0.0, 1.0
+            while k:
+                denom *= 2.0
+                v += (k & 1) / denom
+                k >>= 1
+            return v
+
+        for start in (1, 2, 7, 500, 997, 998):
+            got = _van_der_corput(start, 3000)
+            want = np.array([scalar(start + i) for i in range(3000)])
+            assert got.tobytes() == want.tobytes()
+        assert _van_der_corput(5, 0).shape == (0,)
 
     def test_box_overlay_attached_iff_configured(self):
         cfg = EngineConfig(replicates=200, seed=7, boxplot_overlay=True)

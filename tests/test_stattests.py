@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from _oracles import dip_lp_oracle, skewness_z_oracle
+from _oracles import dip_lp_oracle, dip_sorted_reference, skewness_z_oracle
 from finestruct import (
     ConstantFeature,
     FeatureSeries,
@@ -12,7 +12,7 @@ from finestruct import (
     dip_statistic,
     gaussian_gate,
 )
-from finestruct.stattests import _dip_sorted, _dip_sorted_py
+from finestruct.stattests import _dip_sorted
 
 
 class TestDipStatistic:
@@ -79,11 +79,30 @@ class TestDipStatistic:
             d = dip_statistic(x)
             assert dip_statistic(0.7 * x - 8.0) == pytest.approx(d, rel=1e-9, abs=1e-12)
 
-    def test_jit_matches_python(self):
+    def test_list_kernel_matches_reference(self):
+        # the list kernel must reproduce the frozen ndarray kernel bit for bit
         rng = np.random.default_rng(21)
-        for _ in range(30):
-            x = np.sort(rng.normal(size=int(rng.integers(2, 200))))
-            assert _dip_sorted(x) == _dip_sorted_py(x)
+        samples = []
+        for i in range(250):
+            n = int(rng.integers(2, 401))
+            kind = i % 5
+            if kind == 0:
+                x = rng.random(n)
+            elif kind == 1:
+                x = rng.normal(size=n)
+            elif kind == 2:
+                x = np.round(rng.normal(size=n), 1)  # forces ties
+            elif kind == 3:
+                half = n // 2
+                x = np.concatenate([rng.normal(size=half), 3 + rng.normal(size=n - half)])
+            else:
+                x = rng.lognormal(size=n)
+            samples.append(x)
+        samples.append(np.full(25, 4.0))
+        samples.append(rng.normal(size=11194))
+        for x in samples:
+            s = np.sort(x)
+            assert _dip_sorted(s.tolist()) == dip_sorted_reference(s)
 
     def test_too_few(self):
         with pytest.raises(TooFewPoints):
