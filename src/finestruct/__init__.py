@@ -16,7 +16,6 @@ from .density import (
 from .engine import (
     BoxOverlay,
     EngineConfig,
-    FeatureAnalysis,
     GaussianOverlay,
     GlyphModel,
     Ordering,
@@ -62,6 +61,7 @@ from .stattests import (
     dagostino_skewness,
     dip_pvalue_mc,
     dip_statistic,
+    feature_report,
     gaussian_gate,
 )
 
@@ -77,7 +77,6 @@ __all__ = [
     "DescriptiveStats",
     "EmptyFeature",
     "EngineConfig",
-    "FeatureAnalysis",
     "FeatureSeries",
     "FineStructError",
     "GaussMixSpec",
@@ -100,6 +99,7 @@ __all__ = [
     "describe",
     "dip_pvalue_mc",
     "dip_statistic",
+    "feature_report",
     "gaussian_gate",
     "gaussian_overlay_path",
     "neighborhood_fraction",

@@ -17,12 +17,13 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
 from . import __version__
 from .engine import EngineConfig, Ordering, build_plot_model
-from .errors import ConstantFeature, FineStructError, NoPlottableFeatures
+from .errors import FineStructError, NoPlottableFeatures
 from .generators import (
     GaussMixSpec,
     SkewSpec,
@@ -32,7 +33,9 @@ from .generators import (
 )
 from .render import RenderConfig, render_svg
 from .stats_core import FeatureSeries, ScalingMode, quantile
-from .stattests import dagostino_skewness, dip_pvalue_mc, dip_statistic
+from .stattests import (
+    SKEW_UNDEFINED, dagostino_skewness, dip_pvalue_mc, dip_statistic, feature_report,
+)
 
 MISSING_TOKENS = {"", "NA", "NaN"}
 
@@ -45,7 +48,8 @@ def read_csv_features(path: str) -> list[FeatureSeries]:
     """Parse a headered CSV into per-column features.
 
     Cells equal to '', 'NA' or 'NaN' count as missing, as does anything that
-    does not parse as a finite number with a '.' decimal point.
+    does not parse as a finite number with a '.' decimal point. Column names
+    must be unique.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")  # drops a leading BOM
@@ -57,8 +61,12 @@ def read_csv_features(path: str) -> list[FeatureSeries]:
             header = next(reader)
         except StopIteration:
             raise CsvError(f"{path} is empty") from None
-        if not any(h.strip() for h in header):
+        names = [h.strip() for h in header]
+        if not any(names):
             raise CsvError(f"{path} has a blank header row")
+        dup = next((name for name, count in Counter(names).items() if count > 1), None)
+        if dup is not None:
+            raise CsvError(f"{path} has a duplicate column name {dup!r}")
         cols: list[list[float]] = [[] for _ in header]
         missing = [0] * len(header)
         for row in reader:
@@ -77,8 +85,8 @@ def read_csv_features(path: str) -> list[FeatureSeries]:
                     continue
                 cols[j].append(v)
     return [
-        FeatureSeries(name.strip(), np.asarray(vals, dtype=float), missing_count=miss)
-        for name, vals, miss in zip(header, cols, missing)
+        FeatureSeries(name, np.asarray(vals, dtype=float), missing_count=miss)
+        for name, vals, miss in zip(names, cols, missing)
     ]
 
 
@@ -172,10 +180,26 @@ def _json_sanitize(obj):
     return obj
 
 
-def _derived_paths(output: str, report: str | None) -> tuple[str, str]:
-    stem = output[:-4] if output.lower().endswith(".svg") else output
-    report_path = report if report is not None else stem + ".report.json"
-    return report_path, stem + ".manifest.json"
+def _stem(path: str, suffix: str) -> str:
+    """``path`` without ``suffix`` (matched case-insensitively), if it ends so."""
+    return path[:-len(suffix)] if path.lower().endswith(suffix) else path
+
+
+def _write_manifest(path: str, command: str, seed: int, config: dict, t0: float,
+                    **extra) -> None:
+    """Reproducibility sidecar of a file-producing run."""
+    manifest = {
+        "tool": "finestruct",
+        "version": __version__,
+        "command": command,
+        "seed": seed,
+        "config": config,
+        **extra,
+        "timing": {"total_s": round(time.perf_counter() - t0, 3)},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
 
 
 def cmd_plot(args) -> int:
@@ -211,41 +235,34 @@ def cmd_plot(args) -> int:
         model = dataclasses.replace(model, title=args.title)
     svg = render_svg(model, RenderConfig(reference_lines=tuple(args.hline)))
 
-    report_path, manifest_path = _derived_paths(args.output, args.report)
+    stem = _stem(args.output, ".svg")
+    report_path = args.report if args.report is not None else stem + ".report.json"
+    manifest_path = stem + ".manifest.json"
     report = _json_sanitize({"seed": seed, "ordering": args.ordering, **model.to_dict()})
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
-    manifest = {
-        "tool": "finestruct",
-        "version": __version__,
-        "command": "plot",
-        "input": args.input,
-        "seed": seed,
-        "config": {
-            "scaling": args.scaling,
-            "ordering": args.ordering,
-            "sample_size": args.sample_size,
-            "min_data": args.min_data,
-            "min_unique": args.min_unique,
-            "alpha": args.alpha,
-            "replicates": args.replicates,
-            "robust_gaussian": not args.no_gaussian,
-            "boxplot": args.boxplot,
-            "hlines": list(args.hline),
-        },
-        "features": [
-            {"name": f.name, "values": len(f), "missing": f.missing_count}
-            for f in features
-        ],
-        "skipped": [{"name": s.feature, "reason": s.reason} for s in model.skipped],
-        "timing": {"total_s": round(time.perf_counter() - t0, 3)},
+    config = {
+        "scaling": args.scaling,
+        "ordering": args.ordering,
+        "sample_size": args.sample_size,
+        "min_data": args.min_data,
+        "min_unique": args.min_unique,
+        "alpha": args.alpha,
+        "replicates": args.replicates,
+        "robust_gaussian": not args.no_gaussian,
+        "boxplot": args.boxplot,
+        "hlines": list(args.hline),
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_manifest(
+        manifest_path, "plot", seed, config, t0,
+        input=args.input,
+        features=[{"name": f.name, "values": len(f), "missing": f.missing_count}
+                  for f in features],
+        skipped=[{"name": s.feature, "reason": s.reason} for s in model.skipped],
+    )
     print(f"wrote {args.output}, {report_path}, {manifest_path}")
     return 0
 
@@ -263,56 +280,27 @@ def cmd_test(args) -> int:
               f"(have: {', '.join(by_name)})", file=sys.stderr)
         return 2
     f = by_name[args.column]
-    diagnostic = None
     try:
-        d = dip_statistic(f.values)
-        dip_p = dip_pvalue_mc(d, len(f), args.replicates, seed)
+        r = feature_report(f, args.replicates, seed)
     except (FineStructError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        g1, z, skew_p = dagostino_skewness(f.values)
-    except ConstantFeature as exc:
-        diagnostic = f"ConstantFeature: {exc}"
-        g1 = z = skew_p = float("nan")
-    except FineStructError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    diagnostic = f"ConstantFeature: {SKEW_UNDEFINED}" if math.isnan(r.skew_g1) else None
     if args.json:
-        out = {
-            "feature": f.name, "n": len(f), "missing": f.missing_count,
-            "dip_d": d, "dip_p": dip_p, "dip_replicates": args.replicates,
-            "skew_g1": g1, "skew_z": z, "skew_p": skew_p,
-            "seed": seed, "diagnostic": diagnostic,
-        }
+        out = {"feature": f.name, "n": len(f), "missing": f.missing_count,
+               **r.to_dict(), "diagnostic": diagnostic}
         print(json.dumps(_json_sanitize(out), indent=2, allow_nan=False))
     else:
         print(f"feature: {f.name}")
-        print(f"n: {len(f)} (missing: {f.missing_count})")
-        print(f"dip D: {d:.6g}")
-        print(f"dip p: {dip_p:.6g} (B={args.replicates})")
-        print(f"skew g1: {g1:.6g}")
-        print(f"skew z: {z:.6g}")
-        print(f"skew p: {skew_p:.6g}")
+        print(f"n: {r.n} (missing: {f.missing_count})")
+        print(f"dip D: {r.dip_d:.6g}")
+        print(f"dip p: {r.dip_p:.6g} (B={r.dip_replicates})")
+        print(f"skew g1: {r.skew_g1:.6g}")
+        print(f"skew z: {r.skew_z:.6g}")
+        print(f"skew p: {r.skew_p:.6g}")
         if diagnostic:
             print(f"diagnostic: {diagnostic}")
     return 0
-
-
-def _write_manifest(out_path: str, command: str, seed: int, config: dict, t0: float) -> None:
-    """Reproducibility sidecar for file-producing runs."""
-    manifest = {
-        "tool": "finestruct",
-        "version": __version__,
-        "command": command,
-        "seed": seed,
-        "config": config,
-        "timing": {"total_s": round(time.perf_counter() - t0, 3)},
-    }
-    stem = out_path[:-4] if out_path.lower().endswith(".csv") else out_path
-    with open(stem + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
 
 
 def _parse_mixture(text: str) -> GaussMixSpec:
@@ -350,7 +338,7 @@ def cmd_gen(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _write_manifest(args.output, "gen", seed,
+        _write_manifest(_stem(args.output, ".csv") + ".manifest.json", "gen", seed,
                         {"kind": args.kind, "params": args.params, "n": args.n}, t0)
     else:
         sys.stdout.write(text)
@@ -408,7 +396,7 @@ def cmd_bench(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _write_manifest(args.output, "bench", seed,
+        _write_manifest(_stem(args.output, ".csv") + ".manifest.json", "bench", seed,
                         {"experiment": args.experiment, "sweep": sweep,
                          "iterations": args.iterations, "replicates": args.replicates,
                          "n": args.n}, t0)

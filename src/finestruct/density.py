@@ -7,11 +7,13 @@ only on [min(data), max(data)] and never extends past the observed range.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantFeature, TooFewPoints
+from .errors import BadRange, ConstantFeature, TooFewPoints
+from .stats_core import seeded_subsample
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,8 @@ def pareto_radius(values, cfg: PdeConfig = PdeConfig(), seed: int = 0) -> float:
     Above ``distance_sample_cap`` points the distances are taken on a seeded
     uniform subsample. A zero quantile (heavy ties) escalates to the smallest
     strictly positive distance. Above ``large_n_threshold`` the radius shrinks
-    by (n/threshold)^(-1/5) so dense samples keep local detail.
+    by (n/threshold)^(-1/5) so dense samples keep local detail. A range that
+    overflows the float range raises BadRange.
     """
     x = np.asarray(values, dtype=float).ravel()
     n = x.size
@@ -95,12 +98,10 @@ def pareto_radius(values, cfg: PdeConfig = PdeConfig(), seed: int = 0) -> float:
         raise TooFewPoints("pareto_radius needs at least 2 values")
     if np.all(x == x[0]):
         raise ConstantFeature("all values identical; no radius exists")
-    if n > cfg.distance_sample_cap:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        idx = rng.choice(n, size=cfg.distance_sample_cap, replace=False)
-        sample = np.sort(x[idx])
-    else:
-        sample = np.sort(x)
+    if not float(x.max()) - float(x.min()) < math.inf:
+        raise BadRange("the value range overflows the float range")
+    cap = cfg.distance_sample_cap
+    sample = np.sort(seeded_subsample(x, cap, seed) if n > cap else x)
     d = _pairwise_diffs(sample)
     r = float(np.quantile(d, cfg.pareto_quantile))
     if r <= 0.0:
@@ -121,21 +122,31 @@ def pde_estimate(values, cfg: PdeConfig = PdeConfig(), seed: int = 0) -> Density
 
     The kernel count is ceil(range / (radius/spacing_divisor)) + 1, clamped to
     [grid_min, grid_max]. Raw density at kernel g is |{x : |x - g| <= r}|,
-    then the vector is normalized to unit trapezoidal integral.
+    then the vector is normalized to unit trapezoidal integral. A range that
+    holds fewer distinct floats than kernels, or a density that overflows,
+    raises BadRange.
     """
     x = np.asarray(values, dtype=float).ravel()
     r = pareto_radius(x, cfg, seed)
     lo = float(x.min())
     hi = float(x.max())
-    m = int(np.ceil((hi - lo) / (r / cfg.spacing_divisor))) + 1
+    step = r / cfg.spacing_divisor
+    if not step > 0.0:
+        raise BadRange(f"radius {r!r} is below float resolution")
+    m = int(np.ceil(min((hi - lo) / step, cfg.grid_max))) + 1
     m = min(max(m, cfg.grid_min), cfg.grid_max)
     kernels = np.linspace(lo, hi, m)
+    if np.any(np.diff(kernels) <= 0):
+        raise BadRange(f"[{lo!r}, {hi!r}] holds fewer than {m} distinct floats")
     xs = np.sort(x)
     counts = (
         np.searchsorted(xs, kernels + r, side="right")
         - np.searchsorted(xs, kernels - r, side="left")
     ).astype(float)
-    densities = counts / _trapezoid(counts, kernels)
+    with np.errstate(over="ignore", divide="ignore"):
+        densities = counts / _trapezoid(counts, kernels)
+    if not np.all(np.isfinite(densities)):
+        raise BadRange(f"[{lo!r}, {hi!r}] is too narrow for a unit-mass density")
     return DensityCurve(kernels=kernels, densities=densities, radius=r)
 
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import enum
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityCurve, PdeConfig, pde_estimate
+from .density import DensityCurve, pde_estimate
 from .errors import DegenerateSpread, EmptyFeature, FineStructError, NoPlottableFeatures
 from .stats_core import (
     DescriptiveStats,
@@ -22,6 +22,7 @@ from .stats_core import (
     describe,
     quantile,
     robust_gaussian_fit,
+    seeded_subsample,
     transform,
 )
 from .stattests import TestReport, gaussian_gate
@@ -65,7 +66,6 @@ class EngineConfig:
     boxplot_overlay: bool = False
     replicates: int = 2000
     seed: int = 0
-    pde: PdeConfig = field(default_factory=PdeConfig)
 
     def __post_init__(self):
         if self.min_data < 2:
@@ -99,14 +99,19 @@ class BoxOverlay:
 
 @dataclass(frozen=True)
 class GlyphModel:
-    """Visual form of one feature.
+    """Visual form and verdict of one feature.
 
     kind is one of "density" (mirrored PDE curve), "jitter" (1D scatter with
     deterministic horizontal offsets) or "dirac" (a single horizontal line).
+    shape_class is one of "Nonunimodal", "Skewed", "GaussianLike" (density
+    glyphs) or "Discrete" (jitter and Dirac glyphs); report holds the dip and
+    skewness tests of a density glyph.
     """
 
     feature: str
     kind: str
+    stats: DescriptiveStats
+    shape_class: str
     curve: DensityCurve | None = None
     points: np.ndarray | None = None          # jitter values
     offsets: np.ndarray | None = None         # jitter offsets in [-0.3, 0.3]
@@ -124,15 +129,6 @@ class GlyphModel:
 
 
 @dataclass(frozen=True)
-class FeatureAnalysis:
-    feature: str
-    stats: DescriptiveStats
-    report: TestReport | None
-    shape_class: str  # Nonunimodal | Skewed | GaussianLike | Discrete
-    radius: float | None
-
-
-@dataclass(frozen=True)
 class SkipDiagnostic:
     feature: str
     reason: str
@@ -143,7 +139,6 @@ class PlotModel:
     """Ordered glyphs plus shared-axis metadata; the renderer's sole input."""
 
     glyphs: tuple
-    analyses: tuple
     skipped: tuple
     y_range: tuple[float, float]
     scaling_applied: ScalingMode
@@ -157,15 +152,15 @@ class PlotModel:
             "y_range": list(self.y_range),
             "features": [
                 {
-                    "name": a.feature,
+                    "name": g.feature,
                     "glyph": g.kind,
-                    "shape_class": a.shape_class,
-                    "radius": a.radius,
+                    "shape_class": g.shape_class,
+                    "radius": g.curve.radius if g.curve is not None else None,
                     "gaussian_overlay": g.gaussian_overlay is not None,
-                    "stats": a.stats.to_dict(),
-                    "test": a.report.to_dict() if a.report is not None else None,
+                    "stats": g.stats.to_dict(),
+                    "test": g.report.to_dict() if g.report is not None else None,
                 }
-                for g, a in zip(self.glyphs, self.analyses)
+                for g in self.glyphs
             ],
             "skipped": [{"name": s.feature, "reason": s.reason} for s in self.skipped],
         }
@@ -186,10 +181,7 @@ def subsample(f: FeatureSeries, cap_per_feature: int, seed: int = 0) -> FeatureS
         raise ValueError("cap_per_feature must be at least 1")
     if len(f) <= cap_per_feature:
         return f
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx = rng.choice(len(f), size=cap_per_feature, replace=False)
-    idx.sort()
-    return f.with_values(f.values[idx])
+    return f.with_values(seeded_subsample(f.values, cap_per_feature, seed))
 
 
 def _van_der_corput(start: int, count: int) -> np.ndarray:
@@ -233,7 +225,7 @@ def _shape_class(report: TestReport | None, alpha: float) -> str:
     return "GaussianLike"
 
 
-def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> tuple[GlyphModel, FeatureAnalysis]:
+def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
     """Route one (already subsampled and transformed) feature to its glyph.
 
     Features below the data or uniqueness thresholds get a jittered scatter
@@ -248,18 +240,11 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> tuple[GlyphModel, Fe
 
     if len(f) < cfg.min_data or n_unique < cfg.min_unique:
         if n_unique == 1:
-            glyph = GlyphModel(f.name, "dirac", dirac_value=float(f.values[0]))
-        else:
-            glyph = GlyphModel(
-                f.name,
-                "jitter",
-                points=f.values.copy(),
-                offsets=_jitter_offsets(len(f), feature_seed),
-            )
-        analysis = FeatureAnalysis(f.name, stats, None, "Discrete", None)
-        return glyph, analysis
+            return GlyphModel(f.name, "dirac", stats, "Discrete", dirac_value=float(f.values[0]))
+        return GlyphModel(f.name, "jitter", stats, "Discrete", points=f.values.copy(),
+                          offsets=_jitter_offsets(len(f), feature_seed))
 
-    curve = pde_estimate(f.values, cfg.pde, _substream(feature_seed, _TAG_PDE))
+    curve = pde_estimate(f.values, seed=_substream(feature_seed, _TAG_PDE))
     overlay_ok, report = gaussian_gate(f, cfg.alpha, cfg.replicates, feature_seed)
     overlay = None
     if cfg.robust_gaussian and overlay_ok:
@@ -270,35 +255,27 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> tuple[GlyphModel, Fe
         else:
             overlay = GaussianOverlay(mu, sigma)
     box = _box_overlay(f.values) if cfg.boxplot_overlay else None
-    glyph = GlyphModel(
-        f.name,
-        "density",
-        curve=curve,
-        gaussian_overlay=overlay,
-        box_overlay=box,
-        report=report,
-    )
-    analysis = FeatureAnalysis(f.name, stats, report, _shape_class(report, cfg.alpha), curve.radius)
-    return glyph, analysis
+    return GlyphModel(f.name, "density", stats, _shape_class(report, cfg.alpha), curve=curve,
+                      gaussian_overlay=overlay, box_overlay=box, report=report)
 
 
-def order_features(analyses, mode: Ordering) -> list[int]:
+def order_features(glyphs, mode: Ordering) -> list[int]:
     """Permutation of feature indices for the configured ordering.
 
     Statistics (the default) puts Gaussian-like features first: sort by dip
     p-value descending, then |skew z| ascending, then name; discrete glyphs
     go last.
     """
-    if not analyses:
+    if not glyphs:
         raise NoPlottableFeatures("nothing to order")
-    idx = list(range(len(analyses)))
+    idx = list(range(len(glyphs)))
     if mode is Ordering.COLUMNWISE:
         return idx
     if mode is Ordering.ALPHABETICAL:
-        return sorted(idx, key=lambda i: analyses[i].feature)
+        return sorted(idx, key=lambda i: glyphs[i].feature)
 
     def key(i):
-        a = analyses[i]
+        a = glyphs[i]
         if a.shape_class == "Discrete" or a.report is None:
             return (1, 0.0, 0.0, a.feature)
         return (0, -a.report.dip_p, abs(a.report.skew_z), a.feature)
@@ -318,24 +295,18 @@ def build_plot_model(features, cfg: EngineConfig) -> PlotModel:
     cap = max(cfg.min_data, cfg.sample_size_cap // len(features))
 
     glyphs: list[GlyphModel] = []
-    analyses: list[FeatureAnalysis] = []
     skipped: list[SkipDiagnostic] = []
     for f in features:
         try:
             g = subsample(f, cap, _substream(derive_seed(cfg.seed, f.name), _TAG_SUBSAMPLE))
             g = transform(g, cfg.scaling)
-            glyph, analysis = analyze_feature(g, cfg)
+            glyphs.append(analyze_feature(g, cfg))
         except FineStructError as exc:
             skipped.append(SkipDiagnostic(f.name, f"{type(exc).__name__}: {exc}"))
-            continue
-        glyphs.append(glyph)
-        analyses.append(analysis)
     if not glyphs:
         raise NoPlottableFeatures("all features were skipped")
 
-    perm = order_features(analyses, cfg.ordering)
-    glyphs = [glyphs[i] for i in perm]
-    analyses = [analyses[i] for i in perm]
+    glyphs = [glyphs[i] for i in order_features(glyphs, cfg.ordering)]
 
     lo = min(g.extent()[0] for g in glyphs)
     hi = max(g.extent()[1] for g in glyphs)
@@ -343,7 +314,6 @@ def build_plot_model(features, cfg: EngineConfig) -> PlotModel:
     pad = 0.01 * span if span > 0 else 0.5
     return PlotModel(
         glyphs=tuple(glyphs),
-        analyses=tuple(analyses),
         skipped=tuple(skipped),
         y_range=(lo - pad, hi + pad),
         scaling_applied=cfg.scaling,

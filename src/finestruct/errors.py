@@ -22,7 +22,8 @@ class DegenerateSpread(FineStructError):
 
 
 class BadRange(FineStructError):
-    """Interval bounds are inverted or empty."""
+    """Interval bounds are inverted or empty, or a value range is too wide
+    (overflows) or too narrow (spans too few floats) for the computation."""
 
 
 class BadSpec(FineStructError):

@@ -110,14 +110,20 @@ def _polygon_points(xs, ys) -> str:
     return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
 
 
+def default_axis(model: PlotModel, cfg: RenderConfig = RenderConfig()) -> AxisTransform:
+    """The axis transform render_svg uses for this model and config."""
+    plot_h = float(cfg.height_px) - MARGIN_TOP - MARGIN_BOTTOM
+    return AxisTransform(model.y_range[0], model.y_range[1], MARGIN_TOP, plot_h)
+
+
 def render_svg(model: PlotModel, cfg: RenderConfig = RenderConfig()) -> str:
     """Render a plot model to an SVG 1.1 document."""
     if not model.glyphs:
         raise NoPlottableFeatures("plot model has no glyphs")
-    w, h = float(cfg.width_px), float(cfg.height_px)
+    w = float(cfg.width_px)
     plot_w = w - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = h - MARGIN_TOP - MARGIN_BOTTOM
-    axis = AxisTransform(model.y_range[0], model.y_range[1], MARGIN_TOP, plot_h)
+    axis = default_axis(model, cfg)
+    plot_h = axis.px_height
     k = len(model.glyphs)
     colw = plot_w / k
     half = colw * cfg.column_width_fraction / 2.0
@@ -244,9 +250,3 @@ def _draw_box(g, box, cx: float, colw: float, axis: AxisTransform, color: str) -
             "x2": _fmt(cx + bw * 0.7), "y2": _fmt(axis.to_px(wv)),
             "stroke": color, "stroke-width": "1.2",
         })
-
-
-def default_axis(model: PlotModel, cfg: RenderConfig = RenderConfig()) -> AxisTransform:
-    """The axis transform render_svg uses for this model and config."""
-    plot_h = float(cfg.height_px) - MARGIN_TOP - MARGIN_BOTTOM
-    return AxisTransform(model.y_range[0], model.y_range[1], MARGIN_TOP, plot_h)

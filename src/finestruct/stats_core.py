@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantFeature, DegenerateSpread, EmptyFeature
+from .errors import BadRange, ConstantFeature, DegenerateSpread, EmptyFeature
 
 # normal-consistent IQR-to-sigma calibration: IQR of N(0,1) is ~1.349
 IQR_TO_SIGMA = 1.349
@@ -50,6 +50,14 @@ class FeatureSeries:
 
     def with_values(self, values) -> "FeatureSeries":
         return FeatureSeries(self.name, values, self.missing_count)
+
+
+def seeded_subsample(values: np.ndarray, size: int, seed: int) -> np.ndarray:
+    """Seeded uniform draw of ``size`` values without replacement, in input order."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    idx = rng.choice(values.size, size=size, replace=False)
+    idx.sort()
+    return values[idx]
 
 
 @dataclass(frozen=True)
@@ -164,7 +172,8 @@ def transform(f: FeatureSeries, mode: ScalingMode) -> FeatureSeries:
 
     Percentalize maps [min, max] to [0, 100]; Robust maps the 1%/99%
     quantile window to [0, 1]; CompleteRobust additionally clamps to [0, 1];
-    Log is the symmetric base-10 log.
+    Log is the symmetric base-10 log. A rescaling that overflows the float
+    range raises BadRange.
     """
     x = f.values
     if x.size == 0:
@@ -173,20 +182,23 @@ def transform(f: FeatureSeries, mode: ScalingMode) -> FeatureSeries:
         return f
     if mode is ScalingMode.LOG:
         return f.with_values(symmetric_log(x))
-    if mode is ScalingMode.PERCENTALIZE:
-        lo, hi = float(x.min()), float(x.max())
-        if hi == lo:
-            raise ConstantFeature(f"feature {f.name!r} is constant; cannot percentalize")
-        return f.with_values((x - lo) / (hi - lo) * 100.0)
-    # Robust / CompleteRobust
-    s = np.sort(x)
-    q01 = quantile(s, 0.01)
-    q99 = quantile(s, 0.99)
-    if q99 == q01:
-        raise ConstantFeature(f"feature {f.name!r} has no spread between Q01 and Q99")
-    y = (x - q01) / (q99 - q01)
-    if mode is ScalingMode.COMPLETE_ROBUST:
-        y = np.clip(y, 0.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode is ScalingMode.PERCENTALIZE:
+            lo, hi = float(x.min()), float(x.max())
+            if hi == lo:
+                raise ConstantFeature(f"feature {f.name!r} is constant; cannot percentalize")
+            y = (x - lo) / (hi - lo) * 100.0
+        else:  # Robust / CompleteRobust
+            s = np.sort(x)
+            q01 = quantile(s, 0.01)
+            q99 = quantile(s, 0.99)
+            if q99 == q01:
+                raise ConstantFeature(f"feature {f.name!r} has no spread between Q01 and Q99")
+            y = (x - q01) / (q99 - q01)
+            if mode is ScalingMode.COMPLETE_ROBUST:
+                y = np.clip(y, 0.0, 1.0)
+    if not np.all(np.isfinite(y)):
+        raise BadRange(f"feature {f.name!r} overflows the float range under {mode} scaling")
     return f.with_values(y)
 
 

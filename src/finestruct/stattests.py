@@ -19,6 +19,7 @@ from .errors import ConstantFeature, TooFewPoints
 from .stats_core import FeatureSeries
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
+SKEW_UNDEFINED = "skewness undefined for a constant sample"
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ def dagostino_skewness(values) -> tuple[float, float, float]:
     d = x - x.mean()
     m2 = float(np.mean(d * d))
     if m2 == 0.0:
-        raise ConstantFeature("skewness undefined for a constant sample")
+        raise ConstantFeature(SKEW_UNDEFINED)
     m3 = float(np.mean(d * d * d))
     g1 = m3 / m2 ** 1.5
     y = g1 * math.sqrt((n + 1.0) * (n + 3.0) / (6.0 * (n - 2.0)))
@@ -250,6 +251,23 @@ def dagostino_skewness(values) -> tuple[float, float, float]:
     return g1, z, p
 
 
+def feature_report(f: FeatureSeries, B: int = 2000, seed: int = 0) -> TestReport:
+    """Dip test (B Monte Carlo replicates) and skewness test of one feature.
+
+    The skewness fields are NaN when the sample has no spread (m2 == 0, which
+    also happens when tiny values underflow). Raises TooFewPoints below 2
+    values for the dip and below 9 for the skewness.
+    """
+    d = dip_statistic(f.values)
+    dip_p = dip_pvalue_mc(d, len(f), B, seed)
+    try:
+        g1, z, skew_p = dagostino_skewness(f.values)
+    except ConstantFeature:
+        g1 = z = skew_p = float("nan")
+    return TestReport(n=len(f), dip_d=d, dip_p=dip_p, dip_replicates=B,
+                      skew_g1=g1, skew_z=z, skew_p=skew_p, seed=seed)
+
+
 def gaussian_gate(
     f: FeatureSeries, alpha: float = 0.05, B: int = 2000, seed: int = 0
 ) -> tuple[bool, TestReport | None]:
@@ -257,23 +275,13 @@ def gaussian_gate(
 
     The overlay is drawn only when both the dip test and the skewness test
     fail to reject at level ``alpha``. The report carries all statistics
-    regardless of the outcome; on a degenerate feature the gate returns
-    (False, None) instead of raising.
+    regardless of the outcome; on a degenerate feature (too few points, or
+    undefined skewness) the gate returns (False, None) instead of raising.
     """
     try:
-        d = dip_statistic(f.values)
-        dip_p = dip_pvalue_mc(d, len(f), B, seed)
-        g1, z, skew_p = dagostino_skewness(f.values)
-    except (ConstantFeature, TooFewPoints):
+        report = feature_report(f, B, seed)
+    except TooFewPoints:
         return False, None
-    report = TestReport(
-        n=len(f),
-        dip_d=d,
-        dip_p=dip_p,
-        dip_replicates=B,
-        skew_g1=g1,
-        skew_z=z,
-        skew_p=skew_p,
-        seed=seed,
-    )
-    return (dip_p >= alpha) and (skew_p >= alpha), report
+    if math.isnan(report.skew_p):
+        return False, None
+    return (report.dip_p >= alpha) and (report.skew_p >= alpha), report

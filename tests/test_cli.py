@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from finestruct.cli import main, read_csv_features
+from finestruct.cli import CsvError, main, read_csv_features
 
 SVGNS = "{http://www.w3.org/2000/svg}"
 
@@ -40,6 +40,12 @@ class TestReadCsv:
         p.write_text("a\n1\nfoo\ninf\n2\n")
         f = read_csv_features(str(p))[0]
         assert len(f) == 2 and f.missing_count == 2
+
+    def test_duplicate_header_rejected(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("a,b, a\n1,2,3\n")
+        with pytest.raises(CsvError, match="duplicate column name 'a'"):
+            read_csv_features(str(p))
 
     def test_quoted_fields(self, tmp_path):
         p = tmp_path / "x.csv"
@@ -122,6 +128,16 @@ class TestPlotCommand:
         p = tmp_path / "empty.csv"
         p.write_text("")
         assert main(["plot", str(p)]) == 2
+
+    @pytest.mark.parametrize("args", [["plot", "-o", "o.svg"], ["test", "x", "--json"]])
+    def test_duplicate_header_exit_2(self, tmp_path, capsys, monkeypatch, args):
+        _write_normal_csv(tmp_path / "in.csv", cols=("x", "y", "x"))
+        monkeypatch.chdir(tmp_path)
+        assert main([args[0], "in.csv", *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert "duplicate column name 'x'" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o.svg").exists()
 
     def test_all_skipped_exit_3(self, tmp_path):
         p = tmp_path / "na.csv"

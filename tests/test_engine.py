@@ -34,6 +34,10 @@ def _bimodal(name, n, seed, m=4.0):
     return FeatureSeries(name, vals)
 
 
+# two tight clusters at the ends of the float range; max - min overflows
+_HUGE = np.concatenate([np.linspace(-1.7e308, -1.6e308, 150), np.linspace(1.6e308, 1.7e308, 150)])
+
+
 class TestSubsample:
     def test_under_cap_is_identity(self):
         f = _normal("x", 100, 1)
@@ -60,52 +64,51 @@ class TestSubsample:
 class TestAnalyzeFeature:
     def test_small_sample_gets_jitter(self):
         f = _normal("small", 40, 3)
-        glyph, analysis = analyze_feature(f, FAST)
+        glyph = analyze_feature(f, FAST)
         assert glyph.kind == "jitter"
         assert glyph.report is None
-        assert analysis.shape_class == "Discrete"
-        assert analysis.radius is None
+        assert glyph.shape_class == "Discrete"
+        assert glyph.curve is None
 
     def test_two_error_states_get_jitter(self):
         vals = np.array([0.0] * 60 + [0.05] * 40)
-        glyph, analysis = analyze_feature(FeatureSeries("err", vals), FAST)
+        glyph = analyze_feature(FeatureSeries("err", vals), FAST)
         assert glyph.kind == "jitter"
-        assert analysis.shape_class == "Discrete"
+        assert glyph.shape_class == "Discrete"
 
     def test_constant_gets_dirac(self):
-        glyph, _ = analyze_feature(FeatureSeries("c", np.full(100, 3.0)), FAST)
+        glyph = analyze_feature(FeatureSeries("c", np.full(100, 3.0)), FAST)
         assert glyph.kind == "dirac"
         assert glyph.dirac_value == 3.0
 
     def test_normal_gets_density_and_overlay(self):
-        glyph, analysis = analyze_feature(_normal("n", 2000, 5), FAST)
+        glyph = analyze_feature(_normal("n", 2000, 5), FAST)
         assert glyph.kind == "density"
         assert glyph.gaussian_overlay is not None
-        assert analysis.shape_class == "GaussianLike"
-        assert analysis.radius == glyph.curve.radius
+        assert glyph.shape_class == "GaussianLike"
+        assert glyph.stats.n == 2000
 
     def test_bimodal_no_overlay(self):
-        glyph, analysis = analyze_feature(_bimodal("b", 4000, 6), FAST)
+        glyph = analyze_feature(_bimodal("b", 4000, 6), FAST)
         assert glyph.kind == "density"
         assert glyph.gaussian_overlay is None
-        assert analysis.shape_class == "Nonunimodal"
+        assert glyph.shape_class == "Nonunimodal"
 
     def test_skewed_class(self):
         rng = np.random.default_rng(8)
         f = FeatureSeries("ln", rng.lognormal(size=3000))
-        _, analysis = analyze_feature(f, FAST)
-        assert analysis.shape_class == "Skewed"
+        assert analyze_feature(f, FAST).shape_class == "Skewed"
 
     def test_no_gaussian_disables_overlay(self):
         cfg = EngineConfig(replicates=200, seed=7, robust_gaussian=False)
-        glyph, _ = analyze_feature(_normal("n", 2000, 5), cfg)
+        glyph = analyze_feature(_normal("n", 2000, 5), cfg)
         assert glyph.gaussian_overlay is None
         assert glyph.report is not None  # tests still run for the report
 
     def test_jitter_offsets_bounded_and_deterministic(self):
         f = _normal("j", 30, 9)
-        g1, _ = analyze_feature(f, FAST)
-        g2, _ = analyze_feature(f, FAST)
+        g1 = analyze_feature(f, FAST)
+        g2 = analyze_feature(f, FAST)
         assert np.array_equal(g1.offsets, g2.offsets)
         assert np.all(np.abs(g1.offsets) <= 0.3)
 
@@ -127,8 +130,8 @@ class TestAnalyzeFeature:
     def test_box_overlay_attached_iff_configured(self):
         cfg = EngineConfig(replicates=200, seed=7, boxplot_overlay=True)
         f = _normal("n", 2000, 5)
-        with_box, _ = analyze_feature(f, cfg)
-        without, _ = analyze_feature(f, FAST)
+        with_box = analyze_feature(f, cfg)
+        without = analyze_feature(f, FAST)
         assert with_box.box_overlay is not None
         assert without.box_overlay is None
         b = with_box.box_overlay
@@ -139,11 +142,11 @@ class TestAnalyzeFeature:
         for i in range(30):
             n = int(rng.integers(1, 60))
             vals = np.round(rng.normal(size=n), rng.integers(0, 2))
-            glyph, analysis = analyze_feature(FeatureSeries(f"f{i}", vals), FAST)
+            glyph = analyze_feature(FeatureSeries(f"f{i}", vals), FAST)
             if glyph.kind != "density":
                 assert glyph.gaussian_overlay is None
             # shape class and glyph kind stay in lockstep
-            assert (analysis.shape_class == "Discrete") == (glyph.kind != "density")
+            assert (glyph.shape_class == "Discrete") == (glyph.kind != "density")
 
     def test_large_subsample_exact_cap(self):
         rng = np.random.default_rng(99)
@@ -155,36 +158,36 @@ class TestAnalyzeFeature:
 
 class TestOrderFeatures:
     def test_alphabetical(self):
-        analyses = [
-            analyze_feature(_normal(name, 60, i), FAST)[1]
+        glyphs = [
+            analyze_feature(_normal(name, 60, i), FAST)
             for i, name in enumerate(["b", "a", "c"])
         ]
-        perm = order_features(analyses, Ordering.ALPHABETICAL)
-        assert [analyses[i].feature for i in perm] == ["a", "b", "c"]
+        perm = order_features(glyphs, Ordering.ALPHABETICAL)
+        assert [glyphs[i].feature for i in perm] == ["a", "b", "c"]
 
     def test_columnwise_identity(self):
-        analyses = [analyze_feature(_normal(str(i), 60, i), FAST)[1] for i in range(4)]
-        assert order_features(analyses, Ordering.COLUMNWISE) == [0, 1, 2, 3]
+        glyphs = [analyze_feature(_normal(str(i), 60, i), FAST) for i in range(4)]
+        assert order_features(glyphs, Ordering.COLUMNWISE) == [0, 1, 2, 3]
 
     def test_statistics_gaussian_first(self):
-        gaussian = analyze_feature(_normal("gauss", 3000, 1), FAST)[1]
-        bimodal = analyze_feature(_bimodal("bimod", 3000, 2), FAST)[1]
+        gaussian = analyze_feature(_normal("gauss", 3000, 1), FAST)
+        bimodal = analyze_feature(_bimodal("bimod", 3000, 2), FAST)
         perm = order_features([bimodal, gaussian], Ordering.STATISTICS)
         assert [["bimod", "gauss"][i] for i in perm] == ["gauss", "bimod"]
 
     def test_discrete_last(self):
-        discrete = analyze_feature(_normal("tiny", 20, 3), FAST)[1]
-        gaussian = analyze_feature(_normal("gauss", 3000, 4), FAST)[1]
+        discrete = analyze_feature(_normal("tiny", 20, 3), FAST)
+        gaussian = analyze_feature(_normal("gauss", 3000, 4), FAST)
         perm = order_features([discrete, gaussian], Ordering.STATISTICS)
         assert perm == [1, 0]
 
     def test_default_aliases_statistics(self):
-        analyses = [
-            analyze_feature(_bimodal("b", 3000, 5), FAST)[1],
-            analyze_feature(_normal("g", 3000, 6), FAST)[1],
+        glyphs = [
+            analyze_feature(_bimodal("b", 3000, 5), FAST),
+            analyze_feature(_normal("g", 3000, 6), FAST),
         ]
-        assert order_features(analyses, Ordering.DEFAULT) == order_features(
-            analyses, Ordering.STATISTICS
+        assert order_features(glyphs, Ordering.DEFAULT) == order_features(
+            glyphs, Ordering.STATISTICS
         )
 
     def test_empty_raises(self):
@@ -251,6 +254,34 @@ class TestBuildPlotModel:
         b = paired.to_dict()["features"][0]
         assert a == b
 
+    @pytest.mark.parametrize(
+        "values, scaling",
+        [
+            # range spans fewer floats than the PDE grid needs
+            (1e17 + 16.0 * (np.arange(300) % 20), ScalingMode.NONE),
+            (5e-324 * (np.arange(300) % 40), ScalingMode.NONE),
+            # range overflows the float range
+            (_HUGE, ScalingMode.NONE),
+            (_HUGE, ScalingMode.PERCENTALIZE),
+            (_HUGE, ScalingMode.ROBUST),
+        ],
+        ids=["offset-1e17", "subnormal", "overflow-none", "overflow-percentalize",
+             "overflow-robust"],
+    )
+    def test_extreme_column_skipped_sibling_unchanged(self, values, scaling):
+        cfg = EngineConfig(replicates=200, seed=7, scaling=scaling)
+        good = _normal("good", 300, 8)
+        alone = build_plot_model([good], cfg)
+        with np.errstate(all="ignore"):
+            paired = build_plot_model([good, FeatureSeries("extreme", values)], cfg)
+        assert [s.feature for s in paired.skipped] == ["extreme"]
+        assert paired.skipped[0].reason.startswith("BadRange: ")
+        assert paired.to_dict()["features"] == alone.to_dict()["features"]
+        g, h = alone.glyphs[0], paired.glyphs[0]
+        assert np.array_equal(g.curve.kernels, h.curve.kernels)
+        assert np.array_equal(g.curve.densities, h.curve.densities)
+        assert g.report == h.report
+
     def test_affine_scaling_preserves_kind_and_statistics_order(self):
         feats = [_normal("n1", 900, 9), _bimodal("n2", 900, 10), _normal("n3", 900, 11, mu=5)]
         cfg_none = EngineConfig(replicates=200, seed=7, ordering=Ordering.STATISTICS)
@@ -266,8 +297,8 @@ class TestBuildPlotModel:
         feats = [_normal(f"f{i}", 400, i) for i in range(4)]
         cfg = EngineConfig(replicates=100, seed=1, sample_size_cap=800)
         model = build_plot_model(feats, cfg)
-        for a in model.analyses:
-            assert a.stats.n == 200  # 800 cells / 4 features
+        for g in model.glyphs:
+            assert g.stats.n == 200  # 800 cells / 4 features
 
     def test_derive_seed_stable(self):
         assert derive_seed(7, "alpha") == derive_seed(7, "alpha")

@@ -124,7 +124,7 @@ class TestRenderSvg:
         assert pys == sorted(pys, reverse=True)  # higher data value, smaller pixel row
 
     def test_empty_model_raises(self):
-        empty = PlotModel(glyphs=(), analyses=(), skipped=(), y_range=(0, 1),
+        empty = PlotModel(glyphs=(), skipped=(), y_range=(0, 1),
                           scaling_applied=ScalingMode.NONE)
         with pytest.raises(NoPlottableFeatures):
             render_svg(empty)

@@ -10,6 +10,7 @@ from finestruct import (
     dagostino_skewness,
     dip_pvalue_mc,
     dip_statistic,
+    feature_report,
     gaussian_gate,
 )
 from finestruct.stattests import _dip_sorted
@@ -237,3 +238,29 @@ class TestGaussianGate:
         assert r.seed == 42
         assert 0.5 / 500 <= r.dip_d <= 0.25
         assert r.dip_p >= 1 / 251
+
+    def test_underflowing_spread_returns_none_report(self):
+        # m2 of 300 normals scaled by 1e-170 underflows to 0: skewness is NaN
+        x = np.random.default_rng(9).normal(size=300) * 1e-170
+        ok, report = gaussian_gate(FeatureSeries("tiny", x), B=50, seed=1)
+        assert ok is False and report is None
+
+
+class TestFeatureReport:
+    def test_matches_the_separate_tests(self):
+        x = np.random.default_rng(10).normal(size=300)
+        r = feature_report(FeatureSeries("f", x), B=100, seed=3)
+        d = dip_statistic(x)
+        assert (r.dip_d, r.dip_p) == (d, dip_pvalue_mc(d, 300, 100, 3))
+        assert (r.skew_g1, r.skew_z, r.skew_p) == dagostino_skewness(x)
+        assert (r.n, r.dip_replicates, r.seed) == (300, 100, 3)
+
+    def test_constant_sample_has_nan_skewness(self):
+        r = feature_report(FeatureSeries("c", np.ones(50)), B=20, seed=1)
+        assert r.dip_d == 0.5 / 50
+        assert np.isnan(r.skew_g1) and np.isnan(r.skew_z) and np.isnan(r.skew_p)
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_too_few_points_raises(self, n):
+        with pytest.raises(TooFewPoints):
+            feature_report(FeatureSeries("s", np.arange(float(n))), B=20, seed=1)
