@@ -45,7 +45,7 @@ from .generators import (
     sample_uniform,
     skew_normal_moments,
 )
-from .render import AxisTransform, RenderConfig, gaussian_overlay_path, nice_ticks, render_svg
+from .render import AxisTransform, gaussian_overlay_path, nice_ticks, render_svg
 from .stats_core import (
     DescriptiveStats,
     FeatureSeries,
@@ -62,7 +62,6 @@ from .stattests import (
     dip_pvalue_mc,
     dip_statistic,
     feature_report,
-    gaussian_gate,
 )
 
 __all__ = [
@@ -86,7 +85,6 @@ __all__ = [
     "Ordering",
     "PdeConfig",
     "PlotModel",
-    "RenderConfig",
     "ScalingMode",
     "SkewSpec",
     "SkipDiagnostic",
@@ -100,7 +98,6 @@ __all__ = [
     "dip_pvalue_mc",
     "dip_statistic",
     "feature_report",
-    "gaussian_gate",
     "gaussian_overlay_path",
     "neighborhood_fraction",
     "nice_ticks",

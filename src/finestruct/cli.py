@@ -31,14 +31,11 @@ from .generators import (
     sample_skew_normal,
     sample_uniform,
 )
-from .render import RenderConfig, render_svg
+from .render import render_svg
 from .stats_core import FeatureSeries, ScalingMode, quantile
 from .stattests import (
     SKEW_UNDEFINED, dagostino_skewness, dip_pvalue_mc, dip_statistic, feature_report,
 )
-
-MISSING_TOKENS = {"", "NA", "NaN"}
-
 
 class CsvError(Exception):
     pass
@@ -47,9 +44,10 @@ class CsvError(Exception):
 def read_csv_features(path: str) -> list[FeatureSeries]:
     """Parse a headered CSV into per-column features.
 
-    Cells equal to '', 'NA' or 'NaN' count as missing, as does anything that
-    does not parse as a finite number with a '.' decimal point. Column names
-    must be unique.
+    A cell counts as missing when the row ends before it or when, stripped of
+    whitespace, it does not parse as a finite number with a '.' decimal point
+    ('', 'NA', 'NaN' and 'inf' included). Column names must be unique and no
+    row may have more cells than the header.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")  # drops a leading BOM
@@ -67,27 +65,20 @@ def read_csv_features(path: str) -> list[FeatureSeries]:
         dup = next((name for name, count in Counter(names).items() if count > 1), None)
         if dup is not None:
             raise CsvError(f"{path} has a duplicate column name {dup!r}")
-        cols: list[list[float]] = [[] for _ in header]
-        missing = [0] * len(header)
+        width = len(names)
+        cols: list[list[float]] = [[] for _ in names]
         for row in reader:
-            for j in range(len(header)):
-                cell = row[j].strip() if j < len(row) else ""
-                if cell in MISSING_TOKENS:
-                    missing[j] += 1
-                    continue
+            if len(row) > width:
+                raise CsvError(f"{path} line {reader.line_num} has {len(row)} cells, "
+                               f"the header has {width}")
+            for col, cell in zip(cols, row):
                 try:
-                    v = float(cell)
+                    col.append(float(cell.strip()))
                 except ValueError:
-                    missing[j] += 1
-                    continue
-                if not np.isfinite(v):
-                    missing[j] += 1
-                    continue
-                cols[j].append(v)
-    return [
-        FeatureSeries(name, np.asarray(vals, dtype=float), missing_count=miss)
-        for name, vals, miss in zip(names, cols, missing)
-    ]
+                    col.append(math.nan)
+            for col in cols[len(row):]:
+                col.append(math.nan)
+    return [FeatureSeries.clean(name, col) for name, col in zip(names, cols)]
 
 
 def _seed_default() -> int:
@@ -216,8 +207,8 @@ def cmd_plot(args) -> int:
             min_data=args.min_data,
             min_unique=args.min_unique,
             alpha=args.alpha,
-            scaling=ScalingMode.parse(args.scaling),
-            ordering=Ordering.parse(args.ordering),
+            scaling=ScalingMode(args.scaling),
+            ordering=Ordering(args.ordering),
             robust_gaussian=not args.no_gaussian,
             boxplot_overlay=args.boxplot,
             replicates=args.replicates,
@@ -233,7 +224,7 @@ def cmd_plot(args) -> int:
         return 3
     if args.title:
         model = dataclasses.replace(model, title=args.title)
-    svg = render_svg(model, RenderConfig(reference_lines=tuple(args.hline)))
+    svg = render_svg(model, args.hline)
 
     stem = _stem(args.output, ".svg")
     report_path = args.report if args.report is not None else stem + ".report.json"

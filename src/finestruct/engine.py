@@ -8,13 +8,16 @@ seed and the feature name, so adding a column never perturbs the others.
 from __future__ import annotations
 
 import enum
+import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .density import DensityCurve, pde_estimate
-from .errors import DegenerateSpread, EmptyFeature, FineStructError, NoPlottableFeatures
+from .errors import (
+    DegenerateSpread, EmptyFeature, FineStructError, NoPlottableFeatures, TooFewPoints,
+)
 from .stats_core import (
     DescriptiveStats,
     FeatureSeries,
@@ -25,7 +28,7 @@ from .stats_core import (
     seeded_subsample,
     transform,
 )
-from .stattests import TestReport, gaussian_gate
+from .stattests import TestReport, feature_report
 
 JITTER_HALF_WIDTH = 0.3  # jitter offsets live in [-0.3, 0.3] column widths
 
@@ -44,14 +47,6 @@ class Ordering(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-    @classmethod
-    def parse(cls, text: str) -> "Ordering":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown ordering {text!r} (expected one of: {valid})") from None
 
 
 @dataclass(frozen=True)
@@ -231,6 +226,9 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
     Features below the data or uniqueness thresholds get a jittered scatter
     (a Dirac line when only one unique value exists); everything else gets a
     density glyph with tests, and optionally the Gaussian and box overlays.
+    The Gaussian overlay needs a report whose shape class is GaussianLike,
+    i.e. neither test rejects at level alpha; the report is None when the
+    tests cannot run (too few points, or no spread for the skewness).
     """
     if len(f) == 0:
         raise EmptyFeature(f"feature {f.name!r} has no values")
@@ -245,9 +243,15 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
                           offsets=_jitter_offsets(len(f), feature_seed))
 
     curve = pde_estimate(f.values, seed=_substream(feature_seed, _TAG_PDE))
-    overlay_ok, report = gaussian_gate(f, cfg.alpha, cfg.replicates, feature_seed)
+    try:
+        report = feature_report(f, cfg.replicates, feature_seed)
+    except TooFewPoints:
+        report = None
+    if report is not None and math.isnan(report.skew_p):
+        report = None  # no spread for the skewness test: no verdict
+    shape_class = _shape_class(report, cfg.alpha)
     overlay = None
-    if cfg.robust_gaussian and overlay_ok:
+    if cfg.robust_gaussian and report is not None and shape_class == "GaussianLike":
         try:
             mu, sigma = robust_gaussian_fit(f)
         except DegenerateSpread:
@@ -255,7 +259,7 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
         else:
             overlay = GaussianOverlay(mu, sigma)
     box = _box_overlay(f.values) if cfg.boxplot_overlay else None
-    return GlyphModel(f.name, "density", stats, _shape_class(report, cfg.alpha), curve=curve,
+    return GlyphModel(f.name, "density", stats, shape_class, curve=curve,
                       gaussian_overlay=overlay, box_overlay=box, report=report)
 
 

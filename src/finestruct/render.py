@@ -22,25 +22,13 @@ MARGIN_LEFT = 70.0
 MARGIN_RIGHT = 20.0
 MARGIN_TOP = 45.0
 MARGIN_BOTTOM = 60.0
-
-
-@dataclass(frozen=True)
-class RenderConfig:
-    width_px: int = 960
-    height_px: int = 640
-    column_width_fraction: float = 0.9
-    glyph_fill: str = "#9aa0a6"
-    gaussian_color: str = "magenta"
-    box_color: str = "black"
-    reference_line_color: str = "red"
-    reference_lines: tuple = ()
-
-    def __post_init__(self):
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise ValueError("render dimensions must be positive")
-        if not 0.0 < self.column_width_fraction <= 1.0:
-            raise ValueError("column_width_fraction must be in (0, 1]")
-        object.__setattr__(self, "reference_lines", tuple(float(v) for v in self.reference_lines))
+WIDTH_PX = 960
+HEIGHT_PX = 640
+COLUMN_WIDTH_FRACTION = 0.9  # share of its column a glyph may span
+GLYPH_FILL = "#9aa0a6"
+GAUSSIAN_COLOR = "magenta"
+BOX_COLOR = "black"
+REFERENCE_LINE_COLOR = "red"
 
 
 @dataclass(frozen=True)
@@ -110,38 +98,41 @@ def _polygon_points(xs, ys) -> str:
     return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
 
 
-def default_axis(model: PlotModel, cfg: RenderConfig = RenderConfig()) -> AxisTransform:
-    """The axis transform render_svg uses for this model and config."""
-    plot_h = float(cfg.height_px) - MARGIN_TOP - MARGIN_BOTTOM
+def default_axis(model: PlotModel) -> AxisTransform:
+    """The axis transform render_svg uses for this model."""
+    plot_h = HEIGHT_PX - MARGIN_TOP - MARGIN_BOTTOM
     return AxisTransform(model.y_range[0], model.y_range[1], MARGIN_TOP, plot_h)
 
 
-def render_svg(model: PlotModel, cfg: RenderConfig = RenderConfig()) -> str:
-    """Render a plot model to an SVG 1.1 document."""
+def render_svg(model: PlotModel, reference_lines=()) -> str:
+    """Render a plot model to an SVG 1.1 document.
+
+    ``reference_lines`` are data-space y values drawn as horizontal lines
+    across the plot.
+    """
     if not model.glyphs:
         raise NoPlottableFeatures("plot model has no glyphs")
-    w = float(cfg.width_px)
-    plot_w = w - MARGIN_LEFT - MARGIN_RIGHT
-    axis = default_axis(model, cfg)
+    plot_w = WIDTH_PX - MARGIN_LEFT - MARGIN_RIGHT
+    axis = default_axis(model)
     plot_h = axis.px_height
     k = len(model.glyphs)
     colw = plot_w / k
-    half = colw * cfg.column_width_fraction / 2.0
+    half = colw * COLUMN_WIDTH_FRACTION / 2.0
 
     root = ET.Element("svg", {
         "xmlns": SVG_NS,
         "version": "1.1",
-        "width": str(cfg.width_px),
-        "height": str(cfg.height_px),
-        "viewBox": f"0 0 {cfg.width_px} {cfg.height_px}",
+        "width": str(WIDTH_PX),
+        "height": str(HEIGHT_PX),
+        "viewBox": f"0 0 {WIDTH_PX} {HEIGHT_PX}",
     })
     ET.SubElement(root, "rect", {
-        "x": "0", "y": "0", "width": str(cfg.width_px), "height": str(cfg.height_px),
+        "x": "0", "y": "0", "width": str(WIDTH_PX), "height": str(HEIGHT_PX),
         "fill": "white",
     })
     if model.title:
         title = ET.SubElement(root, "text", {
-            "x": _fmt(w / 2.0), "y": _fmt(MARGIN_TOP * 0.6),
+            "x": _fmt(WIDTH_PX / 2.0), "y": _fmt(MARGIN_TOP * 0.6),
             "text-anchor": "middle", "font-family": "sans-serif", "font-size": "16",
         })
         title.text = model.title
@@ -177,7 +168,7 @@ def render_svg(model: PlotModel, cfg: RenderConfig = RenderConfig()) -> str:
             pys = ys + list(reversed(ys))
             ET.SubElement(g, "polygon", {
                 "points": _polygon_points(xs, pys),
-                "fill": cfg.glyph_fill,
+                "fill": GLYPH_FILL,
                 "stroke": "none",
             })
             if glyph.gaussian_overlay is not None:
@@ -188,18 +179,18 @@ def render_svg(model: PlotModel, cfg: RenderConfig = RenderConfig()) -> str:
                     ET.SubElement(g, "polyline", {
                         "points": pts,
                         "fill": "none",
-                        "stroke": cfg.gaussian_color,
+                        "stroke": GAUSSIAN_COLOR,
                         "stroke-width": "1.5",
                     })
             if glyph.box_overlay is not None:
-                _draw_box(g, glyph.box_overlay, cx, colw, axis, cfg.box_color)
+                _draw_box(g, glyph.box_overlay, cx, colw, axis)
         elif glyph.kind == "jitter":
             for value, off in zip(glyph.points, glyph.offsets):
                 ET.SubElement(g, "circle", {
                     "cx": _fmt(cx + off * colw),
                     "cy": _fmt(axis.to_px(float(value))),
                     "r": "2",
-                    "fill": cfg.glyph_fill,
+                    "fill": GLYPH_FILL,
                     "fill-opacity": "0.7",
                 })
         else:  # dirac
@@ -207,7 +198,7 @@ def render_svg(model: PlotModel, cfg: RenderConfig = RenderConfig()) -> str:
             ET.SubElement(g, "line", {
                 "x1": _fmt(cx - half), "y1": _fmt(py),
                 "x2": _fmt(cx + half), "y2": _fmt(py),
-                "stroke": cfg.glyph_fill, "stroke-width": "2.5",
+                "stroke": GLYPH_FILL, "stroke-width": "2.5",
             })
         name = ET.SubElement(root, "text", {
             "x": _fmt(cx), "y": _fmt(MARGIN_TOP + plot_h + 18.0),
@@ -215,38 +206,39 @@ def render_svg(model: PlotModel, cfg: RenderConfig = RenderConfig()) -> str:
         })
         name.text = glyph.feature
 
-    for ref in cfg.reference_lines:
+    for ref in reference_lines:
+        py = axis.to_px(float(ref))
         ET.SubElement(root, "line", {
-            "x1": _fmt(MARGIN_LEFT), "y1": _fmt(axis.to_px(ref)),
-            "x2": _fmt(MARGIN_LEFT + plot_w), "y2": _fmt(axis.to_px(ref)),
-            "stroke": cfg.reference_line_color, "stroke-width": "1",
+            "x1": _fmt(MARGIN_LEFT), "y1": _fmt(py),
+            "x2": _fmt(MARGIN_LEFT + plot_w), "y2": _fmt(py),
+            "stroke": REFERENCE_LINE_COLOR, "stroke-width": "1",
         })
 
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode")
 
 
-def _draw_box(g, box, cx: float, colw: float, axis: AxisTransform, color: str) -> None:
+def _draw_box(g, box, cx: float, colw: float, axis: AxisTransform) -> None:
     bw = 0.08 * colw
     y25 = axis.to_px(box.q25)
     y75 = axis.to_px(box.q75)
     ET.SubElement(g, "rect", {
         "x": _fmt(cx - bw), "y": _fmt(y75),
         "width": _fmt(2 * bw), "height": _fmt(y25 - y75),
-        "fill": "none", "stroke": color, "stroke-width": "1.2",
+        "fill": "none", "stroke": BOX_COLOR, "stroke-width": "1.2",
     })
     ET.SubElement(g, "line", {
         "x1": _fmt(cx - bw), "y1": _fmt(axis.to_px(box.median)),
         "x2": _fmt(cx + bw), "y2": _fmt(axis.to_px(box.median)),
-        "stroke": color, "stroke-width": "1.8",
+        "stroke": BOX_COLOR, "stroke-width": "1.8",
     })
     for q, wv in ((box.q25, box.whisker_low), (box.q75, box.whisker_high)):
         ET.SubElement(g, "line", {
             "x1": _fmt(cx), "y1": _fmt(axis.to_px(q)),
             "x2": _fmt(cx), "y2": _fmt(axis.to_px(wv)),
-            "stroke": color, "stroke-width": "1.2",
+            "stroke": BOX_COLOR, "stroke-width": "1.2",
         })
         ET.SubElement(g, "line", {
             "x1": _fmt(cx - bw * 0.7), "y1": _fmt(axis.to_px(wv)),
             "x2": _fmt(cx + bw * 0.7), "y2": _fmt(axis.to_px(wv)),
-            "stroke": color, "stroke-width": "1.2",
+            "stroke": BOX_COLOR, "stroke-width": "1.2",
         })

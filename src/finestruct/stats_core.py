@@ -98,14 +98,6 @@ class ScalingMode(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    @classmethod
-    def parse(cls, text: str) -> "ScalingMode":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown scaling mode {text!r} (expected one of: {valid})") from None
-
 
 def quantile(values, p: float) -> float:
     """Linear-interpolation quantile of ascending-sorted ``values``.
@@ -125,6 +117,18 @@ def quantile(values, p: float) -> float:
     return float(v[lo] + frac * (v[lo + 1] - v[lo]))
 
 
+def _moments(s: np.ndarray) -> tuple[float, float, float, float]:
+    """Mean, m2, g1 and excess kurtosis; g1 and kurtosis are NaN when m2 == 0."""
+    mean = float(np.mean(s))
+    d = s - mean
+    m2 = float(np.mean(d * d))
+    if m2 == 0.0:
+        return mean, m2, float("nan"), float("nan")
+    m3 = float(np.mean(d * d * d))
+    m4 = float(np.mean(d * d * d * d))
+    return mean, m2, m3 / m2 ** 1.5, m4 / (m2 * m2) - 3.0
+
+
 def describe(f: FeatureSeries) -> DescriptiveStats:
     """Descriptive statistics of one feature.
 
@@ -137,17 +141,15 @@ def describe(f: FeatureSeries) -> DescriptiveStats:
     # moments are computed on sorted values so the result is exactly
     # permutation-invariant (summation order is canonical)
     s = np.sort(f.values)
-    mean = float(np.mean(s))
-    d = s - mean
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
-        g1 = float("nan")
-        kurt = float("nan")
-    else:
-        m3 = float(np.mean(d * d * d))
-        m4 = float(np.mean(d * d * d * d))
-        g1 = m3 / m2 ** 1.5
-        kurt = m4 / (m2 * m2) - 3.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, m2, g1, kurt = _moments(s)
+        if not (math.isfinite(mean) and (m2 == 0.0 or math.isfinite(g1 + kurt))):
+            # overflow: the same moments on values scaled by a power of two
+            # below 1 in magnitude; g1 and kurtosis are scale-free and the
+            # mean scales back exactly
+            _, e = math.frexp(max(-s[0], s[-1]))
+            mean, _, g1, kurt = _moments(np.ldexp(s, -e))
+            mean = float(np.ldexp(mean, e))
     return DescriptiveStats(
         n=int(s.size),
         missing=f.missing_count,

@@ -267,21 +267,3 @@ def feature_report(f: FeatureSeries, B: int = 2000, seed: int = 0) -> TestReport
     return TestReport(n=len(f), dip_d=d, dip_p=dip_p, dip_replicates=B,
                       skew_g1=g1, skew_z=z, skew_p=skew_p, seed=seed)
 
-
-def gaussian_gate(
-    f: FeatureSeries, alpha: float = 0.05, B: int = 2000, seed: int = 0
-) -> tuple[bool, TestReport | None]:
-    """Decide whether a feature looks Gaussian enough for a normal overlay.
-
-    The overlay is drawn only when both the dip test and the skewness test
-    fail to reject at level ``alpha``. The report carries all statistics
-    regardless of the outcome; on a degenerate feature (too few points, or
-    undefined skewness) the gate returns (False, None) instead of raising.
-    """
-    try:
-        report = feature_report(f, B, seed)
-    except TooFewPoints:
-        return False, None
-    if math.isnan(report.skew_p):
-        return False, None
-    return (report.dip_p >= alpha) and (report.skew_p >= alpha), report

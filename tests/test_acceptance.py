@@ -14,7 +14,6 @@ from _oracles import skewness_z_oracle
 from finestruct import (
     EngineConfig,
     FeatureSeries,
-    RenderConfig,
     build_plot_model,
     dagostino_skewness,
     dip_pvalue_mc,
@@ -117,9 +116,8 @@ class TestCriterion4Clipping:
             [FeatureSeries("MTY_clipped", clipped)],
             EngineConfig(replicates=200, seed=404),
         )
-        cfg = RenderConfig()
-        svg = render_svg(model, cfg)
-        axis = default_axis(model, cfg)
+        svg = render_svg(model)
+        axis = default_axis(model)
         root = ET.fromstring(svg)
         poly = next(root.iter(f"{SVGNS}polygon"))
         ys = [float(pair.split(",")[1]) for pair in poly.get("points").split(" ")]

@@ -23,11 +23,12 @@ def _write_normal_csv(path, n=300, cols=("a", "b"), seed=0):
 class TestReadCsv:
     def test_missing_tokens_counted(self, tmp_path):
         p = tmp_path / "x.csv"
-        p.write_text("a,b\n1,2\n3,\n5,NA\n7,NaN\n")
+        p.write_text("a,b\n1,2\n3,\n5,NA\n7,NaN\n9\n")
         feats = read_csv_features(str(p))
         by = {f.name: f for f in feats}
-        assert len(by["a"]) == 4 and by["a"].missing_count == 0
-        assert len(by["b"]) == 1 and by["b"].missing_count == 3
+        assert list(by["a"].values) == [1, 3, 5, 7, 9] and by["a"].missing_count == 0
+        # the short last row counts its absent cell as missing
+        assert list(by["b"].values) == [2] and by["b"].missing_count == 4
 
     def test_spec_example(self, tmp_path):
         p = tmp_path / "x.csv"
@@ -36,10 +37,12 @@ class TestReadCsv:
         assert feats[1].missing_count == 1
 
     def test_unparseable_cells_are_missing(self, tmp_path):
+        # str.strip removes the \x1c-\x1f separators that float() rejects;
+        # float() itself accepts digit underscores
         p = tmp_path / "x.csv"
-        p.write_text("a\n1\nfoo\ninf\n2\n")
+        p.write_text("a\n1\nfoo\ninf\n2\n 2 \n1_000\n-Infinity\n\x1c3\x1c\n")
         f = read_csv_features(str(p))[0]
-        assert len(f) == 2 and f.missing_count == 2
+        assert list(f.values) == [1, 2, 2, 1000, 3] and f.missing_count == 3
 
     def test_duplicate_header_rejected(self, tmp_path):
         p = tmp_path / "x.csv"
@@ -131,13 +134,18 @@ class TestPlotCommand:
 
     @pytest.mark.parametrize("args", [["plot", "-o", "o.svg"], ["test", "x", "--json"]])
     def test_duplicate_header_exit_2(self, tmp_path, capsys, monkeypatch, args):
-        _write_normal_csv(tmp_path / "in.csv", cols=("x", "y", "x"))
+        # a row with more cells than the header exits 2 the same way
         monkeypatch.chdir(tmp_path)
-        assert main([args[0], "in.csv", *args[1:]]) == 2
-        captured = capsys.readouterr()
-        assert "duplicate column name 'x'" in captured.err
-        assert captured.out == ""
-        assert not (tmp_path / "o.svg").exists()
+        duplicate = _write_normal_csv(tmp_path / "dup.csv", cols=("x", "y", "x"))
+        long_row = tmp_path / "long.csv"
+        long_row.write_text("x,y\n1,2\n3,4,5\n6,7\n")
+        for path, message in ((duplicate, "duplicate column name 'x'"),
+                              (long_row, "line 3 has 3 cells, the header has 2")):
+            assert main([args[0], path.name, *args[1:]]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == ""
+            assert not (tmp_path / "o.svg").exists()
 
     def test_all_skipped_exit_3(self, tmp_path):
         p = tmp_path / "na.csv"
@@ -163,6 +171,10 @@ class TestPlotCommand:
                      "-o", str(tmp_path / "x.svg")]) == 2
         assert main(["plot", str(csv_path), "--replicates", "0",
                      "-o", str(tmp_path / "x.svg")]) == 2
+        for flag in ("--scaling", "--ordering"):
+            with pytest.raises(SystemExit) as exc:  # argparse rejects values outside choices
+                main(["plot", str(csv_path), flag, "zscore", "-o", str(tmp_path / "x.svg")])
+            assert exc.value.code == 2
         capsys.readouterr()
 
     def test_hline_rendered(self, tmp_path):

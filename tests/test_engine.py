@@ -96,8 +96,9 @@ class TestAnalyzeFeature:
 
     def test_skewed_class(self):
         rng = np.random.default_rng(8)
-        f = FeatureSeries("ln", rng.lognormal(size=3000))
-        assert analyze_feature(f, FAST).shape_class == "Skewed"
+        glyph = analyze_feature(FeatureSeries("ln", rng.lognormal(size=3000)), FAST)
+        assert glyph.shape_class == "Skewed"
+        assert glyph.gaussian_overlay is None and glyph.report is not None
 
     def test_no_gaussian_disables_overlay(self):
         cfg = EngineConfig(replicates=200, seed=7, robust_gaussian=False)

@@ -9,7 +9,6 @@ from finestruct import (
     FeatureSeries,
     NoPlottableFeatures,
     PlotModel,
-    RenderConfig,
     ScalingMode,
     build_plot_model,
     gaussian_overlay_path,
@@ -76,9 +75,8 @@ class TestRenderSvg:
 
     def test_reference_line_roundtrip(self):
         model = _model()
-        cfg = RenderConfig(reference_lines=(0.5, -1.0))
-        svg = render_svg(model, cfg)
-        axis = default_axis(model, cfg)
+        svg = render_svg(model, reference_lines=(0.5, -1.0))
+        axis = default_axis(model)
         root = ET.fromstring(svg)
         red = [el for el in root.iter(f"{SVGNS}line") if el.get("stroke") == "red"]
         assert len(red) == 2
@@ -97,9 +95,8 @@ class TestRenderSvg:
 
     def test_glyph_stays_in_column(self):
         model = _model()
-        cfg = RenderConfig(width_px=900, height_px=600)
-        svg = render_svg(model, cfg)
-        colw = (900 - 70 - 20) / len(model.glyphs)
+        svg = render_svg(model)
+        colw = (960 - 70 - 20) / len(model.glyphs)
         coords = [tuple(map(float, p.split(","))) for p in _polygons(svg)[0].split(" ")]
         xs = [x for x, _ in coords]
         assert max(xs) - min(xs) <= colw + 1e-9
@@ -170,9 +167,3 @@ class TestNiceTicks:
                 assert np.allclose(steps, steps[0])
                 mant = steps[0] / 10 ** np.floor(np.log10(steps[0]))
                 assert min(abs(mant - m) for m in (1, 2, 5, 10)) < 1e-9
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RenderConfig(width_px=0)
-        with pytest.raises(ValueError):
-            RenderConfig(column_width_fraction=0.0)

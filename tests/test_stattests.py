@@ -5,13 +5,14 @@ import scipy.stats
 from _oracles import dip_lp_oracle, dip_sorted_reference, skewness_z_oracle
 from finestruct import (
     ConstantFeature,
+    EngineConfig,
     FeatureSeries,
     TooFewPoints,
+    analyze_feature,
     dagostino_skewness,
     dip_pvalue_mc,
     dip_statistic,
     feature_report,
-    gaussian_gate,
 )
 from finestruct.stattests import _dip_sorted
 
@@ -196,28 +197,33 @@ class TestDagostinoSkewness:
 
 
 class TestGaussianGate:
+    """The verdict behind the Gaussian overlay: both p-values at or above alpha.
+
+    ``analyze_feature`` draws the overlay exactly when ``feature_report``'s
+    dip and skewness p-values both reach alpha, and drops the report when the
+    skewness is undefined.
+    """
+
     def test_normal_passes(self):
         x = np.random.default_rng(5).normal(size=2000)
-        ok, report = gaussian_gate(FeatureSeries("n", x), B=500, seed=2)
-        assert ok
+        report = feature_report(FeatureSeries("n", x), B=500, seed=2)
         assert report.dip_p >= 0.05 and report.skew_p >= 0.05
 
     def test_bimodal_fails(self):
         rng = np.random.default_rng(6)
         x = np.concatenate([rng.normal(size=2000), rng.normal(4.0, 1, size=2000)])
-        ok, report = gaussian_gate(FeatureSeries("b", x), B=500, seed=2)
-        assert not ok
+        report = feature_report(FeatureSeries("b", x), B=500, seed=2)
         assert report.dip_p < 0.05
 
     def test_skewed_fails(self):
         x = np.random.default_rng(7).lognormal(size=2000)
-        ok, report = gaussian_gate(FeatureSeries("s", x), B=500, seed=2)
-        assert not ok
+        report = feature_report(FeatureSeries("s", x), B=500, seed=2)
         assert report.skew_p < 0.05
 
     def test_degenerate_returns_none_report(self):
-        ok, report = gaussian_gate(FeatureSeries("c", np.ones(100)), B=50, seed=1)
-        assert ok is False and report is None
+        f = FeatureSeries("c", np.ones(100))
+        assert np.isnan(feature_report(f, B=50, seed=1).skew_p)
+        assert analyze_feature(f, EngineConfig(replicates=50, seed=1)).report is None
 
     def test_normal_passes_in_most_seeded_runs(self):
         # sampling oracle: the two 5%-level tests leave the overlay on for
@@ -226,13 +232,13 @@ class TestGaussianGate:
         count = 0
         for s in range(100):
             x = np.random.default_rng((321, s)).normal(size=15500)
-            ok, _ = gaussian_gate(FeatureSeries("n", x), alpha=0.05, B=500, seed=999)
-            count += ok
+            r = feature_report(FeatureSeries("n", x), B=500, seed=999)
+            count += r.dip_p >= 0.05 and r.skew_p >= 0.05
         assert count >= 95
 
     def test_report_fields(self):
         x = np.random.default_rng(8).normal(size=500)
-        _, r = gaussian_gate(FeatureSeries("f", x), B=250, seed=42)
+        r = feature_report(FeatureSeries("f", x), B=250, seed=42)
         assert r.n == 500
         assert r.dip_replicates == 250
         assert r.seed == 42
@@ -241,9 +247,11 @@ class TestGaussianGate:
 
     def test_underflowing_spread_returns_none_report(self):
         # m2 of 300 normals scaled by 1e-170 underflows to 0: skewness is NaN
-        x = np.random.default_rng(9).normal(size=300) * 1e-170
-        ok, report = gaussian_gate(FeatureSeries("tiny", x), B=50, seed=1)
-        assert ok is False and report is None
+        f = FeatureSeries("tiny", np.random.default_rng(9).normal(size=300) * 1e-170)
+        assert np.isnan(feature_report(f, B=50, seed=1).skew_p)
+        glyph = analyze_feature(f, EngineConfig(replicates=50, seed=1))
+        assert glyph.kind == "density"
+        assert glyph.report is None and glyph.gaussian_overlay is None
 
 
 class TestFeatureReport:
