@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from collections import Counter
@@ -81,23 +80,8 @@ def read_csv_features(path: str) -> list[FeatureSeries]:
     return [FeatureSeries.clean(name, col) for name, col in zip(names, cols)]
 
 
-def _seed_default() -> int:
-    env = os.environ.get("FINESTRUCT_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise SystemExit(f"FINESTRUCT_SEED must be an integer, got {env!r}")
-
-
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help="global RNG seed (default: FINESTRUCT_SEED env var, else 0)")
-
-
-def _resolve_seed(args) -> int:
-    return _seed_default() if args.seed is None else args.seed
+    p.add_argument("--seed", type=int, default=0, help="global RNG seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,7 +178,7 @@ def _write_manifest(path: str, command: str, seed: int, config: dict, t0: float,
 
 
 def cmd_plot(args) -> int:
-    seed = _resolve_seed(args)
+    seed = args.seed
     t0 = time.perf_counter()
     try:
         features = read_csv_features(args.input)
@@ -259,7 +243,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_test(args) -> int:
-    seed = _resolve_seed(args)
+    seed = args.seed
     try:
         features = read_csv_features(args.input)
     except CsvError as exc:
@@ -306,7 +290,7 @@ def _parse_mixture(text: str) -> GaussMixSpec:
 
 
 def cmd_gen(args) -> int:
-    seed = _resolve_seed(args)
+    seed = args.seed
     t0 = time.perf_counter()
     try:
         if args.kind == "uniform":
@@ -363,7 +347,7 @@ def run_bench(experiment: str, sweep, iterations: int, B: int, n: int | None, se
 
 
 def cmd_bench(args) -> int:
-    seed = _resolve_seed(args)
+    seed = args.seed
     t0 = time.perf_counter()
     try:
         sweep = [float(v) for v in args.sweep.split(",") if v.strip()]

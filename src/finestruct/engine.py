@@ -15,15 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityCurve, pde_estimate
-from .errors import (
-    DegenerateSpread, EmptyFeature, FineStructError, NoPlottableFeatures, TooFewPoints,
-)
+from .errors import DegenerateSpread, FineStructError, NoPlottableFeatures, TooFewPoints
 from .stats_core import (
     DescriptiveStats,
     FeatureSeries,
     ScalingMode,
     describe,
-    quantile,
     robust_gaussian_fit,
     seeded_subsample,
     transform,
@@ -196,18 +193,15 @@ def _van_der_corput(start: int, count: int) -> np.ndarray:
 
 
 def _jitter_offsets(n: int, seed: int) -> np.ndarray:
-    start = int(np.random.SeedSequence((seed, _TAG_JITTER)).generate_state(1)[0] % 997) + 1
+    start = _substream(seed, _TAG_JITTER) % 997 + 1
     return (_van_der_corput(start, n) - 0.5) * (2.0 * JITTER_HALF_WIDTH)
 
 
-def _box_overlay(values: np.ndarray) -> BoxOverlay:
-    s = np.sort(values)
-    q25 = quantile(s, 0.25)
-    q75 = quantile(s, 0.75)
-    step = 1.5 * (q75 - q25)
-    lo = float(s[np.searchsorted(s, q25 - step, side="left")])
-    hi = float(s[np.searchsorted(s, q75 + step, side="right") - 1])
-    return BoxOverlay(q25, quantile(s, 0.5), q75, lo, hi)
+def _box_overlay(stats: DescriptiveStats, values: np.ndarray) -> BoxOverlay:
+    step = 1.5 * (stats.q75 - stats.q25)
+    lo = float(values[values >= stats.q25 - step].min())
+    hi = float(values[values <= stats.q75 + step].max())
+    return BoxOverlay(stats.q25, stats.median, stats.q75, lo, hi)
 
 
 def _shape_class(report: TestReport | None, alpha: float) -> str:
@@ -230,8 +224,6 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
     i.e. neither test rejects at level alpha; the report is None when the
     tests cannot run (too few points, or no spread for the skewness).
     """
-    if len(f) == 0:
-        raise EmptyFeature(f"feature {f.name!r} has no values")
     stats = describe(f)
     n_unique = int(np.unique(f.values).size)
     feature_seed = derive_seed(cfg.seed, f.name)
@@ -253,12 +245,12 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
     overlay = None
     if cfg.robust_gaussian and report is not None and shape_class == "GaussianLike":
         try:
-            mu, sigma = robust_gaussian_fit(f)
+            mu, sigma = robust_gaussian_fit(stats)
         except DegenerateSpread:
             pass
         else:
             overlay = GaussianOverlay(mu, sigma)
-    box = _box_overlay(f.values) if cfg.boxplot_overlay else None
+    box = _box_overlay(stats, f.values) if cfg.boxplot_overlay else None
     return GlyphModel(f.name, "density", stats, shape_class, curve=curve,
                       gaussian_overlay=overlay, box_overlay=box, report=report)
 

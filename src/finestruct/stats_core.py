@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,18 +74,7 @@ class DescriptiveStats:
     excess_kurtosis: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "missing": self.missing,
-            "q01": self.q01,
-            "q25": self.q25,
-            "median": self.median,
-            "q75": self.q75,
-            "q99": self.q99,
-            "mean": self.mean,
-            "skewness_g1": self.skewness_g1,
-            "excess_kurtosis": self.excess_kurtosis,
-        }
+        return asdict(self)
 
 
 class ScalingMode(enum.Enum):
@@ -114,42 +103,54 @@ def quantile(values, p: float) -> float:
     if lo >= v.size - 1:
         return float(v[-1])
     frac = h - lo
-    return float(v[lo] + frac * (v[lo + 1] - v[lo]))
+    a, b = float(v[lo]), float(v[lo + 1])
+    if math.isfinite(b - a):
+        return a + frac * (b - a)
+    # the gap overflows (neighbours near -max and +max); weight the ends
+    return (1.0 - frac) * a + frac * b
 
 
-def _moments(s: np.ndarray) -> tuple[float, float, float, float]:
-    """Mean, m2, g1 and excess kurtosis; g1 and kurtosis are NaN when m2 == 0."""
-    mean = float(np.mean(s))
-    d = s - mean
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
-        return mean, m2, float("nan"), float("nan")
-    m3 = float(np.mean(d * d * d))
-    m4 = float(np.mean(d * d * d * d))
+def _raw_moments(x: np.ndarray):
+    mean = np.mean(x)
+    d = x - mean
+    m2 = np.mean(d * d)
+    m3 = np.mean(d * d * d)
+    m4 = np.mean(d * d * d * d)
     return mean, m2, m3 / m2 ** 1.5, m4 / (m2 * m2) - 3.0
+
+
+def moments(x: np.ndarray) -> tuple[float, float, float]:
+    """Mean, g1 and excess kurtosis of a sample, summed in the given order.
+
+    Population central moments m_k = sum((x-mean)^k)/n give g1 = m3/m2^1.5
+    and excess kurtosis m4/m2^2 - 3; both are NaN when min == max or m2 == 0
+    (a constant sample, or a spread that underflows). When a moment overflows
+    or underflows, they are computed again on the values scaled by a power of
+    two below 1 in magnitude: g1 and kurtosis are scale-free and the mean
+    scales back exactly.
+    """
+    lo, hi = float(x.min()), float(x.max())
+    with np.errstate(all="ignore"):
+        mean, m2, g1, kurt = _raw_moments(x)
+        if m2 != 0.0 and not (math.isfinite(mean) and math.isfinite(g1 + kurt)):
+            _, e = math.frexp(max(-lo, hi))
+            mean, m2, g1, kurt = _raw_moments(np.ldexp(x, -e))
+            mean = np.ldexp(mean, e)
+    if lo == hi or m2 == 0.0:
+        return float(mean), math.nan, math.nan
+    return float(mean), float(g1), float(kurt)
 
 
 def describe(f: FeatureSeries) -> DescriptiveStats:
     """Descriptive statistics of one feature.
 
-    Moments are population central moments m_k = sum((x-mean)^k)/n;
-    g1 = m3/m2^1.5, excess kurtosis = m4/m2^2 - 3. Both are NaN for a
-    constant feature.
+    Quantiles and moments (see ``moments``) are computed on the sorted values,
+    so the result is exactly permutation-invariant.
     """
     if f.values.size == 0:
         raise EmptyFeature(f"feature {f.name!r} has no values")
-    # moments are computed on sorted values so the result is exactly
-    # permutation-invariant (summation order is canonical)
     s = np.sort(f.values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, m2, g1, kurt = _moments(s)
-        if not (math.isfinite(mean) and (m2 == 0.0 or math.isfinite(g1 + kurt))):
-            # overflow: the same moments on values scaled by a power of two
-            # below 1 in magnitude; g1 and kurtosis are scale-free and the
-            # mean scales back exactly
-            _, e = math.frexp(max(-s[0], s[-1]))
-            mean, _, g1, kurt = _moments(np.ldexp(s, -e))
-            mean = float(np.ldexp(mean, e))
+    mean, g1, kurt = moments(s)
     return DescriptiveStats(
         n=int(s.size),
         missing=f.missing_count,
@@ -204,14 +205,9 @@ def transform(f: FeatureSeries, mode: ScalingMode) -> FeatureSeries:
     return f.with_values(y)
 
 
-def robust_gaussian_fit(f: FeatureSeries) -> tuple[float, float]:
+def robust_gaussian_fit(stats: DescriptiveStats) -> tuple[float, float]:
     """Outlier-resistant normal fit: median and IQR-calibrated sigma."""
-    x = f.values
-    if x.size < 2:
-        raise EmptyFeature(f"feature {f.name!r}: need at least 2 values")
-    s = np.sort(x)
-    mu = quantile(s, 0.5)
-    iqr = quantile(s, 0.75) - quantile(s, 0.25)
+    iqr = stats.q75 - stats.q25
     if iqr <= 0.0:
-        raise DegenerateSpread(f"feature {f.name!r}: interquartile range is zero")
-    return mu, iqr / IQR_TO_SIGMA
+        raise DegenerateSpread("interquartile range is zero")
+    return stats.median, iqr / IQR_TO_SIGMA

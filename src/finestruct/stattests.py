@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConstantFeature, TooFewPoints
-from .stats_core import FeatureSeries
+from .stats_core import FeatureSeries, moments
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 SKEW_UNDEFINED = "skewness undefined for a constant sample"
@@ -36,16 +36,7 @@ class TestReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "dip_d": self.dip_d,
-            "dip_p": self.dip_p,
-            "dip_replicates": self.dip_replicates,
-            "skew_g1": self.skew_g1,
-            "skew_z": self.skew_z,
-            "skew_p": self.skew_p,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _dip_sorted(x: list) -> float:
@@ -225,19 +216,18 @@ def dip_pvalue_mc(d: float, n: int, B: int, seed: int = 0) -> float:
 def dagostino_skewness(values) -> tuple[float, float, float]:
     """Skewness test: returns (g1, z, two-sided p).
 
-    g1 = m3/m2^1.5 is transformed to an approximately N(0,1) statistic via
-    the Johnson S_U fit to its null distribution; needs n >= 9.
+    g1 = m3/m2^1.5 (``stats_core.moments``, summed in the given order) is
+    transformed to an approximately N(0,1) statistic via the Johnson S_U fit
+    to its null distribution; needs n >= 9. Raises ConstantFeature when g1 is
+    undefined.
     """
     x = np.asarray(values, dtype=float).ravel()
     n = x.size
     if n < 9:
         raise TooFewPoints(f"skewness test needs n >= 9, got {n}")
-    d = x - x.mean()
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
+    _, g1, _ = moments(x)
+    if math.isnan(g1):
         raise ConstantFeature(SKEW_UNDEFINED)
-    m3 = float(np.mean(d * d * d))
-    g1 = m3 / m2 ** 1.5
     y = g1 * math.sqrt((n + 1.0) * (n + 3.0) / (6.0 * (n - 2.0)))
     beta2 = (
         3.0 * (n * n + 27.0 * n - 70.0) * (n + 1.0) * (n + 3.0)
@@ -254,8 +244,8 @@ def dagostino_skewness(values) -> tuple[float, float, float]:
 def feature_report(f: FeatureSeries, B: int = 2000, seed: int = 0) -> TestReport:
     """Dip test (B Monte Carlo replicates) and skewness test of one feature.
 
-    The skewness fields are NaN when the sample has no spread (m2 == 0, which
-    also happens when tiny values underflow). Raises TooFewPoints below 2
+    The skewness fields are NaN when the sample has no spread (min == max, or
+    m2 == 0 when tiny values underflow). Raises TooFewPoints below 2
     values for the dip and below 9 for the skewness.
     """
     d = dip_statistic(f.values)

@@ -16,6 +16,7 @@ from finestruct import (
     FeatureSeries,
     build_plot_model,
     dagostino_skewness,
+    describe,
     dip_pvalue_mc,
     dip_statistic,
     gaussian_overlay_path,
@@ -170,7 +171,7 @@ class TestCriterion7OverlaySensitivity:
     @staticmethod
     def _gap(values, seed):
         curve = pde_estimate(values, seed=seed)
-        mu, sigma = robust_gaussian_fit(FeatureSeries("x", values))
+        mu, sigma = robust_gaussian_fit(describe(FeatureSeries("x", values)))
         dmax = float(curve.densities.max())
         overlay = gaussian_overlay_path(mu, sigma, curve.kernels, 1.0 / dmax)
         return float(np.max(np.abs(curve.densities / dmax - overlay)))

@@ -147,6 +147,18 @@ class TestPlotCommand:
             assert captured.out == ""
             assert not (tmp_path / "o.svg").exists()
 
+    @pytest.mark.parametrize("scale", [1e125, 1e-130])
+    def test_extreme_scale_column_drawn(self, tmp_path, capsys, scale):
+        rng = np.random.default_rng(13)
+        x, n = rng.normal(size=300) * scale, rng.normal(size=300)
+        p = tmp_path / "in.csv"
+        p.write_text("x,n\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), n.tolist())))
+        rc = main(["plot", str(p), "-o", str(tmp_path / "out.svg"), "--replicates", "100"])
+        assert rc == 0 and capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out.report.json").read_text())
+        assert {f["name"]: (f["glyph"], f["test"] is not None) for f in report["features"]} \
+            == {"x": ("density", True), "n": ("density", True)}
+
     def test_all_skipped_exit_3(self, tmp_path):
         p = tmp_path / "na.csv"
         p.write_text("a\nNA\nNA\n")
@@ -223,6 +235,26 @@ class TestTestCommand:
         assert out["skew_g1"] is None  # NaN serialized as null
         assert "ConstantFeature" in out["diagnostic"]
 
+    def test_inexact_constant_mean_diagnostic(self, tmp_path, capsys):
+        p = tmp_path / "c.csv"
+        p.write_text("c\n" + "0.1\n" * 100)
+        rc = main(["test", str(p), "c", "--replicates", "100", "--seed", "1", "--json"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["skew_g1"] is None and out["skew_p"] is None
+        assert "ConstantFeature" in out["diagnostic"]
+
+    def test_huge_column_finite_skewness(self, tmp_path, capsys):
+        p = tmp_path / "h.csv"
+        vals = np.random.default_rng(12).normal(size=300) * 1e160
+        p.write_text("h\n" + "\n".join(repr(float(v)) for v in vals) + "\n")
+        rc = main(["test", str(p), "h", "--replicates", "100", "--seed", "1", "--json"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert all(np.isfinite(out[k]) for k in ("skew_g1", "skew_z", "skew_p"))
+        assert out["diagnostic"] is None and captured.err == ""
+
     def test_missing_column_exit_2(self, tmp_path, capsys):
         csv_path = _write_normal_csv(tmp_path / "in.csv")
         assert main(["test", str(csv_path), "zzz"]) == 2
@@ -297,10 +329,3 @@ class TestBenchCommand:
     def test_bad_sweep_exit_2(self, capsys):
         assert main(["bench", "skew", "--sweep", "-1.0", "--iterations", "1"]) == 2
         capsys.readouterr()
-
-    def test_env_seed_fallback(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FINESTRUCT_SEED", "99")
-        csv_path = _write_normal_csv(tmp_path / "in.csv", n=1000)
-        main(["test", str(csv_path), "a", "--replicates", "100", "--json"])
-        out = json.loads(capsys.readouterr().out)
-        assert out["seed"] == 99

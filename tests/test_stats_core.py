@@ -54,6 +54,15 @@ class TestQuantile:
         with pytest.raises(ValueError):
             quantile([1.0], 1.5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_gap_overflow_finite_and_silent(self):
+        # the gap between -1.7e308 and 1.7e308 overflows; the quantile does not
+        v = [-1.7e308, 1.7e308]
+        assert quantile(v, 0.0) == -1.7e308
+        assert quantile(v, 0.25) == pytest.approx(-0.85e308, rel=1e-15)
+        assert quantile(v, 0.5) == 0.0
+        assert quantile(v, 1.0) == 1.7e308
+
 
 class TestDescribe:
     def test_symmetric(self):
@@ -71,6 +80,12 @@ class TestDescribe:
     def test_constant_undefined_markers(self):
         st = describe(FeatureSeries("c", [5, 5, 5]))
         assert st.mean == 5 and st.median == 5
+        assert np.isnan(st.skewness_g1)
+        assert np.isnan(st.excess_kurtosis)
+
+    def test_constant_with_inexact_mean_undefined(self):
+        # the mean of 100 x 0.1 is 0.09999999999999998, so m2 is not 0
+        st = describe(FeatureSeries("c", [0.1] * 100))
         assert np.isnan(st.skewness_g1)
         assert np.isnan(st.excess_kurtosis)
 
@@ -169,12 +184,12 @@ class TestTransform:
 class TestRobustGaussianFit:
     def test_calibration_constant(self):
         # data with IQR exactly 1.349 maps to sigma = 1
-        mu, sigma = robust_gaussian_fit(FeatureSeries("n", [-1.349, 0.0, 1.349]))
+        mu, sigma = robust_gaussian_fit(describe(FeatureSeries("n", [-1.349, 0.0, 1.349])))
         assert mu == 0.0
         assert sigma == pytest.approx(1.0, abs=1e-12)
 
     def test_direct_formula(self):
-        mu, sigma = robust_gaussian_fit(FeatureSeries("x", [1, 2, 3, 4, 5]))
+        mu, sigma = robust_gaussian_fit(describe(FeatureSeries("x", [1, 2, 3, 4, 5])))
         assert mu == 3
         assert sigma == pytest.approx(2 / 1.349)
         assert sigma == pytest.approx(1.4826, abs=1e-4)
@@ -182,7 +197,7 @@ class TestRobustGaussianFit:
     def test_zero_iqr(self):
         # under the pinned h=(n-1)p quantile, {7,7,7,7,8} has q25 = q75 = 7
         with pytest.raises(DegenerateSpread):
-            robust_gaussian_fit(FeatureSeries("t", [7, 7, 7, 7, 8]))
+            robust_gaussian_fit(describe(FeatureSeries("t", [7, 7, 7, 7, 8])))
 
 
 class TestScalingMode:

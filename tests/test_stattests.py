@@ -10,6 +10,7 @@ from finestruct import (
     TooFewPoints,
     analyze_feature,
     dagostino_skewness,
+    describe,
     dip_pvalue_mc,
     dip_statistic,
     feature_report,
@@ -194,6 +195,22 @@ class TestDagostinoSkewness:
     def test_constant(self):
         with pytest.raises(ConstantFeature):
             dagostino_skewness(np.ones(20))
+
+    def test_constant_with_inexact_mean(self):
+        # the mean of 100 x 0.1 is not 0.1, so m2 > 0 although all values are equal
+        with pytest.raises(ConstantFeature):
+            dagostino_skewness(np.full(100, 0.1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e125, 1e160, 1e-130])
+    def test_scaled_sample_keeps_g1(self, scale):
+        # 1e125: m3 and m2 ** 1.5 overflow; 1e160: m2 overflows; 1e-130: m2 ** 1.5 underflows
+        x = np.random.default_rng(41).normal(size=300)
+        g1, z, p = dagostino_skewness(x)
+        sg1, sz, sp = dagostino_skewness(x * scale)
+        assert sg1 == pytest.approx(g1, rel=1e-9)
+        assert sz == pytest.approx(z, rel=1e-9) and sp == pytest.approx(p, rel=1e-9)
+        assert describe(FeatureSeries("x", x * scale)).skewness_g1 == pytest.approx(g1, rel=1e-9)
 
 
 class TestGaussianGate:
