@@ -33,7 +33,8 @@ from .generators import (
 from .render import render_svg
 from .stats_core import FeatureSeries, ScalingMode, quantile
 from .stattests import (
-    SKEW_UNDEFINED, dagostino_skewness, dip_pvalue_mc, dip_statistic, feature_report,
+    SKEW_UNDEFINED, _null_dips, dagostino_skewness, dip_pvalue_mc, dip_statistic,
+    feature_report,
 )
 
 class CsvError(Exception):
@@ -160,9 +161,22 @@ def _stem(path: str, suffix: str) -> str:
     return path[:-len(suffix)] if path.lower().endswith(suffix) else path
 
 
+def _peak_rss_mb() -> float | None:
+    """Peak resident set size of this process so far, in MB (None without ``resource``)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
+
+
 def _write_manifest(path: str, command: str, seed: int, config: dict, t0: float,
                     **extra) -> None:
-    """Reproducibility sidecar of a file-producing run."""
+    """Reproducibility sidecar of a file-producing run.
+
+    ``timing`` holds what varies from run to run: the wall time and the peak RSS.
+    """
     manifest = {
         "tool": "finestruct",
         "version": __version__,
@@ -170,7 +184,8 @@ def _write_manifest(path: str, command: str, seed: int, config: dict, t0: float,
         "seed": seed,
         "config": config,
         **extra,
-        "timing": {"total_s": round(time.perf_counter() - t0, 3)},
+        "timing": {"total_s": round(time.perf_counter() - t0, 3),
+                   "peak_rss_mb": _peak_rss_mb()},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
@@ -201,11 +216,15 @@ def cmd_plot(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    before = _null_dips.cache_info()
     try:
         model = build_plot_model(features, cfg)
     except NoPlottableFeatures as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    after = _null_dips.cache_info()
+    dip_null = {"computed": after.misses - before.misses, "reused": after.hits - before.hits,
+                "replicates": args.replicates}
     if args.title:
         model = dataclasses.replace(model, title=args.title)
     svg = render_svg(model, args.hline)
@@ -237,6 +256,7 @@ def cmd_plot(args) -> int:
         features=[{"name": f.name, "values": len(f), "missing": f.missing_count}
                   for f in features],
         skipped=[{"name": s.feature, "reason": s.reason} for s in model.skipped],
+        dip_null=dip_null,
     )
     print(f"wrote {args.output}, {report_path}, {manifest_path}")
     return 0

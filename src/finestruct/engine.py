@@ -2,13 +2,19 @@
 
 Each feature is independently subsampled, transformed, routed to a glyph
 (density, jittered scatter, or Dirac line) and tested; the resulting glyphs
-are ordered and share one y axis. Per-feature seeds derive from the global
-seed and the feature name, so adding a column never perturbs the others.
+are ordered and share one y axis. The subsample, PDE and jitter streams of a
+feature derive from the global seed and the feature name. The dip-test null
+depends only on (global seed, n, B), so columns of equal n share one cached
+null, and ``finestruct test`` gives the same dip p as ``plot`` for a column
+that is neither subsampled nor transformed. Adding a column therefore leaves
+the others unchanged while no column is subsampled; the cell budget is split
+across columns, so a subsampled column's n depends on the column count.
 """
 from __future__ import annotations
 
 import enum
 import math
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -236,7 +242,7 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
 
     curve = pde_estimate(f.values, seed=_substream(feature_seed, _TAG_PDE))
     try:
-        report = feature_report(f, cfg.replicates, feature_seed)
+        report = feature_report(f, cfg.replicates, cfg.seed)
     except TooFewPoints:
         report = None
     if report is not None and math.isnan(report.skew_p):
@@ -308,9 +314,12 @@ def build_plot_model(features, cfg: EngineConfig) -> PlotModel:
     hi = max(g.extent()[1] for g in glyphs)
     span = hi - lo
     pad = 0.01 * span if span > 0 else 0.5
+    if pad == math.inf:  # hi - lo overflows; the pad itself need not
+        pad = 0.01 * hi - 0.01 * lo
+    top = sys.float_info.max
     return PlotModel(
         glyphs=tuple(glyphs),
         skipped=tuple(skipped),
-        y_range=(lo - pad, hi + pad),
+        y_range=(max(lo - pad, -top), min(hi + pad, top)),
         scaling_applied=cfg.scaling,
     )

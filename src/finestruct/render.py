@@ -41,12 +41,19 @@ class AxisTransform:
     px_height: float
 
     def to_px(self, y: float) -> float:
-        frac = (self.y_high - y) / (self.y_high - self.y_low)
+        span = self.y_high - self.y_low
+        if span == math.inf:  # halving every term is exact and stays finite
+            frac = (self.y_high / 2 - y / 2) / (self.y_high / 2 - self.y_low / 2)
+        else:
+            frac = (self.y_high - y) / span
         return self.px_top + frac * self.px_height
 
     def to_data(self, px: float) -> float:
         frac = (px - self.px_top) / self.px_height
-        return self.y_high - frac * (self.y_high - self.y_low)
+        span = self.y_high - self.y_low
+        if span == math.inf:
+            return (self.y_high / 2 - frac * (self.y_high / 2 - self.y_low / 2)) * 2
+        return self.y_high - frac * span
 
 
 def nice_ticks(lo: float, hi: float) -> list[float]:
@@ -54,7 +61,10 @@ def nice_ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     if span <= 0:
         return [lo]
-    mag = 10.0 ** math.floor(math.log10(span))
+    if span == math.inf:  # hi - lo overflows; take its log from the halves
+        mag = 10.0 ** math.floor(math.log10(hi / 2 - lo / 2) + math.log10(2.0))
+    else:
+        mag = 10.0 ** math.floor(math.log10(span))
     best = None
     for scale in (mag * 10.0, mag, mag / 10.0, mag / 100.0):
         for mult in (1.0, 2.0, 5.0):

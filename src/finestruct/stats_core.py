@@ -124,10 +124,10 @@ def moments(x: np.ndarray) -> tuple[float, float, float]:
 
     Population central moments m_k = sum((x-mean)^k)/n give g1 = m3/m2^1.5
     and excess kurtosis m4/m2^2 - 3; both are NaN when min == max or m2 == 0
-    (a constant sample, or a spread that underflows). When a moment overflows
-    or underflows, they are computed again on the values scaled by a power of
-    two below 1 in magnitude: g1 and kurtosis are scale-free and the mean
-    scales back exactly.
+    (a constant sample, or a spread that underflows), and the mean of a
+    constant sample is its value. When a moment overflows or underflows, they
+    are computed again on the values scaled by a power of two below 1 in
+    magnitude: g1 and kurtosis are scale-free and the mean scales back exactly.
     """
     lo, hi = float(x.min()), float(x.max())
     with np.errstate(all="ignore"):
@@ -136,7 +136,9 @@ def moments(x: np.ndarray) -> tuple[float, float, float]:
             _, e = math.frexp(max(-lo, hi))
             mean, m2, g1, kurt = _raw_moments(np.ldexp(x, -e))
             mean = np.ldexp(mean, e)
-    if lo == hi or m2 == 0.0:
+    if lo == hi:
+        return lo, math.nan, math.nan
+    if m2 == 0.0:
         return float(mean), math.nan, math.nan
     return float(mean), float(g1), float(kurt)
 

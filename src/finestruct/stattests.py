@@ -4,7 +4,10 @@ The dip statistic is the minimum over all unimodal distribution functions of
 the sup distance to the empirical CDF, computed exactly on sorted data with
 the greatest-convex-minorant / least-concave-majorant iteration. The dip
 runs in pure Python on lists of floats; numpy is the only dependency. Its
-p-value comes from seeded Monte Carlo against the uniform null. Skewness uses
+p-value comes from seeded Monte Carlo against the uniform null, which depends
+only on (seed, n, B) (Hartigan & Hartigan 1985): ``_null_dips`` caches it on
+that key, so every sample of equal n tested at one seed and B reuses one null.
+``feature_report`` records that seed in ``TestReport.seed``. Skewness uses
 the classic transformation of g1 to an approximately standard-normal z.
 """
 from __future__ import annotations
@@ -24,7 +27,7 @@ SKEW_UNDEFINED = "skewness undefined for a constant sample"
 
 @dataclass(frozen=True)
 class TestReport:
-    """Dip and skewness results for one feature."""
+    """Dip and skewness results for one feature; seed keyed the dip null."""
 
     n: int
     dip_d: float

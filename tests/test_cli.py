@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from finestruct.cli import CsvError, main, read_csv_features
+from finestruct.stattests import _null_dips
 
 SVGNS = "{http://www.w3.org/2000/svg}"
 
@@ -72,6 +73,51 @@ class TestPlotCommand:
         assert {f["name"] for f in report["features"]} == {"a", "b"}
         assert manifest["seed"] == 3
         assert manifest["timing"]["total_s"] >= 0
+
+    def test_manifest_dip_null_counts(self, tmp_path):
+        # equal-n density columns beside a constant one, as in a wide table
+        k = 4
+        csv_path = _write_normal_csv(tmp_path / "in.csv", n=200, cols=[f"c{i}" for i in range(k)])
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join([lines[0] + ",const"] + [r + ",5" for r in lines[1:]]) + "\n")
+        _null_dips.cache_clear()
+        rc = main(["plot", str(csv_path), "-o", str(tmp_path / "out.svg"),
+                   "--replicates", "60", "--seed", "3"])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert manifest["dip_null"] == {"computed": 1, "reused": k - 1, "replicates": 60}
+        assert manifest["timing"]["peak_rss_mb"] > 0
+
+    def test_plot_and_test_agree_on_dip_p(self, tmp_path, capsys):
+        csv_path = _write_normal_csv(tmp_path / "in.csv", n=400, cols=("a", "b", "c"))
+        args = ["--replicates", "150", "--seed", "9"]
+        assert main(["plot", str(csv_path), "-o", str(tmp_path / "p.svg"), *args]) == 0
+        report = json.loads((tmp_path / "p.report.json").read_text())
+        capsys.readouterr()
+        for entry in report["features"]:
+            assert main(["test", str(csv_path), entry["name"], "--json", *args]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert entry["test"] == {k: out[k] for k in entry["test"]}
+            assert out["seed"] == 9
+
+    @pytest.mark.parametrize("case", ["jitter-beside-normal", "dirac-at-both-ends"])
+    def test_float_range_ends_share_finite_axis(self, tmp_path, capsys, case):
+        n = np.random.default_rng(14).normal(size=200).tolist()
+        if case == "jitter-beside-normal":
+            rows = [f"{(-1.7e308 if i % 2 else 1.7e308)!r},{v!r}" for i, v in enumerate(n)]
+        else:
+            rows = [f"{-1.7e308!r},{1.7e308!r}"] * 200
+        p = tmp_path / "in.csv"
+        p.write_text("x,y\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out.svg"
+        assert main(["plot", str(p), "-o", str(out), "--replicates", "50"]) == 0
+        assert capsys.readouterr().err == ""
+        svg = out.read_text()
+        assert "inf" not in svg and "nan" not in svg
+        report = json.loads((tmp_path / "out.report.json").read_text())
+        assert {f["name"] for f in report["features"]} == {"x", "y"}
+        assert report["skipped"] == []
+        assert all(np.isfinite(report["y_range"]))
 
     def test_report_order_matches_svg(self, tmp_path):
         csv_path = _write_normal_csv(tmp_path / "in.csv", cols=("x", "y", "z"))

@@ -16,6 +16,7 @@ from finestruct import (
     subsample,
 )
 from finestruct.engine import _van_der_corput
+from finestruct.stattests import _null_dips
 
 FAST = EngineConfig(replicates=200, seed=7)
 
@@ -282,6 +283,24 @@ class TestBuildPlotModel:
         assert np.array_equal(g.curve.kernels, h.curve.kernels)
         assert np.array_equal(g.curve.densities, h.curve.densities)
         assert g.report == h.report
+
+    def test_equal_n_columns_share_one_null(self):
+        feats = [_normal("a", 300, 20), _bimodal("b", 300, 21), _normal("c", 300, 22, mu=3)]
+        _null_dips.cache_clear()
+        model = build_plot_model(feats, FAST)
+        info = _null_dips.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert [g.kind for g in model.glyphs] == ["density"] * 3
+        assert all(g.report.seed == FAST.seed for g in model.glyphs)
+
+    def test_equal_n_sibling_leaves_report_entry_unchanged(self):
+        # below the cell budget nothing is subsampled, and the shared null
+        # depends on (seed, n, B) only
+        a = _normal("a", 300, 23)
+        alone = build_plot_model([a], FAST).to_dict()["features"]
+        paired = build_plot_model([a, _bimodal("b", 300, 24)], FAST).to_dict()["features"]
+        entry = next(e for e in paired if e["name"] == "a")
+        assert json.dumps(entry) == json.dumps(alone[0])
 
     def test_affine_scaling_preserves_kind_and_statistics_order(self):
         feats = [_normal("n1", 900, 9), _bimodal("n2", 900, 10), _normal("n3", 900, 11, mu=5)]

@@ -14,7 +14,7 @@ from finestruct.generators import GaussMixSpec, sample_gauss_mixture, sample_uni
 
 N = 400
 SVG_SHA256 = "87e6cca98c64c6ed98a1abfdd1a7307a7937edd4607e23447685503847f5a87d"
-REPORT_SHA256 = "5df781a35737cefebd85d08c4cce4fd096d38180cdc28a9b19e23dc77c4a525e"
+REPORT_SHA256 = "30995f1d4cee0d592c0d8d5657a34d60c5d02795c31e366aa290cfb4f9899837"
 
 
 def _write_csv(path):

@@ -167,3 +167,27 @@ class TestNiceTicks:
                 assert np.allclose(steps, steps[0])
                 mant = steps[0] / 10 ** np.floor(np.log10(steps[0]))
                 assert min(abs(mant - m) for m in (1, 2, 5, 10)) < 1e-9
+
+    def test_overflowing_span(self):
+        top = 1.7976931348623157e308
+        ticks = nice_ticks(-top, top)
+        assert 4 <= len(ticks) <= 14
+        assert all(np.isfinite(ticks)) and all(-top <= t <= top for t in ticks)
+
+
+class TestInfiniteSharedRange:
+    """Columns at the ends of the float range share one finite y axis."""
+
+    @pytest.mark.parametrize("end", [1.7e308, 1.7976931348623157e308])
+    def test_dirac_columns_at_both_ends(self, end):
+        feats = [FeatureSeries("lo", np.full(100, -end)), FeatureSeries("hi", np.full(100, end))]
+        model = build_plot_model(feats, FAST)
+        lo, hi = model.y_range
+        assert np.isfinite(lo) and np.isfinite(hi) and lo <= -end and hi >= end
+        svg = render_svg(model, reference_lines=(0.0, end))
+        assert "inf" not in svg and "nan" not in svg
+        axis = default_axis(model)
+        assert axis.to_px(hi) == pytest.approx(axis.px_top)
+        assert axis.to_px(lo) == pytest.approx(axis.px_top + axis.px_height)
+        for y in (-end, 0.0, end):
+            assert axis.to_data(axis.to_px(y)) == pytest.approx(y, rel=1e-12, abs=1e-300)

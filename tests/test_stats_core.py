@@ -89,6 +89,11 @@ class TestDescribe:
         assert np.isnan(st.skewness_g1)
         assert np.isnan(st.excess_kurtosis)
 
+    @pytest.mark.parametrize("value", [0.1, 0.3, 1 / 3, 123.456, -1.7e308])
+    def test_constant_mean_is_the_value(self, value):
+        # the float mean of 100 x 0.1 is 0.09999999999999998
+        assert describe(FeatureSeries("c", [value] * 100)).mean == value
+
     def test_quantiles_ordered(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
