@@ -4,8 +4,9 @@ Subcommands: ``plot`` (CSV in, SVG + JSON report + manifest out), ``test``
 (dip and skewness report for one column), ``gen`` (synthetic one-column CSV)
 and ``bench`` (Monte Carlo sweeps of the two tests).
 
-Exit codes: 0 on success, 2 for unreadable input or bad parameters, 3 when
-every feature was skipped.
+Exit codes, set by ``main`` alone: 0 on success, 3 when every feature was
+skipped, 2 for any other FineStructError or OSError (unreadable input,
+unwritable output, bad parameters). Any other exception is a program fault.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .engine import EngineConfig, Ordering, build_plot_model
-from .errors import FineStructError, NoPlottableFeatures
+from .errors import BadSpec, FineStructError, NoPlottableFeatures
 from .generators import (
     GaussMixSpec,
     SkewSpec,
@@ -37,52 +38,57 @@ from .stattests import (
     feature_report,
 )
 
-class CsvError(Exception):
+class CsvError(FineStructError):
     pass
 
 
 def read_csv_features(path: str) -> list[FeatureSeries]:
-    """Parse a headered CSV into per-column features.
+    """Parse a headered UTF-8 CSV into per-column features.
 
     A cell counts as missing when the row ends before it or when, stripped of
     whitespace, it does not parse as a finite number with a '.' decimal point
     ('', 'NA', 'NaN' and 'inf' included). Column names must be unique and no
-    row may have more cells than the header.
+    row may have more cells than the header. A file that cannot be opened or
+    decoded, or that the csv module rejects, raises CsvError naming the path.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")  # drops a leading BOM
-    except OSError as exc:
-        raise CsvError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvError(f"{path} is empty") from None
-        names = [h.strip() for h in header]
-        if not any(names):
-            raise CsvError(f"{path} has a blank header row")
-        dup = next((name for name, count in Counter(names).items() if count > 1), None)
-        if dup is not None:
-            raise CsvError(f"{path} has a duplicate column name {dup!r}")
-        width = len(names)
-        cols: list[list[float]] = [[] for _ in names]
-        for row in reader:
-            if len(row) > width:
-                raise CsvError(f"{path} line {reader.line_num} has {len(row)} cells, "
-                               f"the header has {width}")
-            for col, cell in zip(cols, row):
-                try:
-                    col.append(float(cell.strip()))
-                except ValueError:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
+            reader = csv.reader(fh)
+            names = [h.strip() for h in next(reader, [])]
+            if not any(names):  # an empty file or a blank first line
+                raise CsvError(f"{path} has no header row")
+            dup = next((name for name, count in Counter(names).items() if count > 1), None)
+            if dup is not None:
+                raise CsvError(f"{path} has a duplicate column name {dup!r}")
+            width = len(names)
+            cols: list[list[float]] = [[] for _ in names]
+            for row in reader:
+                if len(row) > width:
+                    raise CsvError(f"{path} line {reader.line_num} has {len(row)} cells, "
+                                   f"the header has {width}")
+                for col, cell in zip(cols, row):
+                    try:
+                        col.append(float(cell.strip()))
+                    except ValueError:
+                        col.append(math.nan)
+                for col in cols[len(row):]:
                     col.append(math.nan)
-            for col in cols[len(row):]:
-                col.append(math.nan)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise CsvError(f"cannot read {path}: {exc}") from exc
     return [FeatureSeries.clean(name, col) for name, col in zip(names, cols)]
 
 
+_GEN_PARAMS = {"uniform": "LOW HIGH", "gaussmix": "MEAN:SD:WEIGHT,...", "skewnorm": "XI"}
+
+
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="global RNG seed")
+    p.add_argument("--seed", type=_seed, default=0, help="global RNG seed (non-negative)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(test)
 
     gen = sub.add_parser("gen", help="generate a synthetic one-column CSV")
-    gen.add_argument("kind", choices=["uniform", "gaussmix", "skewnorm"])
+    gen.add_argument("kind", choices=list(_GEN_PARAMS))
     gen.add_argument("params", nargs="*",
-                     help="uniform: LOW HIGH | gaussmix: MEAN:SD:WEIGHT,... | skewnorm: XI")
+                     help=" | ".join(f"{kind}: {usage}" for kind, usage in _GEN_PARAMS.items()))
     gen.add_argument("--n", type=int, required=True, help="sample size")
     gen.add_argument("--output", "-o", default=None, help="output CSV (default: stdout)")
     _add_seed(gen)
@@ -193,35 +199,22 @@ def _write_manifest(path: str, command: str, seed: int, config: dict, t0: float,
 
 
 def cmd_plot(args) -> int:
-    seed = args.seed
     t0 = time.perf_counter()
-    try:
-        features = read_csv_features(args.input)
-    except CsvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = EngineConfig(
-            sample_size_cap=args.sample_size,
-            min_data=args.min_data,
-            min_unique=args.min_unique,
-            alpha=args.alpha,
-            scaling=ScalingMode(args.scaling),
-            ordering=Ordering(args.ordering),
-            robust_gaussian=not args.no_gaussian,
-            boxplot_overlay=args.boxplot,
-            replicates=args.replicates,
-            seed=seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    features = read_csv_features(args.input)
+    cfg = EngineConfig(
+        sample_size_cap=args.sample_size,
+        min_data=args.min_data,
+        min_unique=args.min_unique,
+        alpha=args.alpha,
+        scaling=ScalingMode(args.scaling),
+        ordering=Ordering(args.ordering),
+        robust_gaussian=not args.no_gaussian,
+        boxplot_overlay=args.boxplot,
+        replicates=args.replicates,
+        seed=args.seed,
+    )
     before = _null_dips.cache_info()
-    try:
-        model = build_plot_model(features, cfg)
-    except NoPlottableFeatures as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    model = build_plot_model(features, cfg)
     after = _null_dips.cache_info()
     dip_null = {"computed": after.misses - before.misses, "reused": after.hits - before.hits,
                 "replicates": args.replicates}
@@ -232,7 +225,7 @@ def cmd_plot(args) -> int:
     stem = _stem(args.output, ".svg")
     report_path = args.report if args.report is not None else stem + ".report.json"
     manifest_path = stem + ".manifest.json"
-    report = _json_sanitize({"seed": seed, "ordering": args.ordering, **model.to_dict()})
+    report = _json_sanitize({"seed": args.seed, "ordering": args.ordering, **model.to_dict()})
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -251,7 +244,7 @@ def cmd_plot(args) -> int:
         "hlines": list(args.hline),
     }
     _write_manifest(
-        manifest_path, "plot", seed, config, t0,
+        manifest_path, "plot", args.seed, config, t0,
         input=args.input,
         features=[{"name": f.name, "values": len(f), "missing": f.missing_count}
                   for f in features],
@@ -263,23 +256,11 @@ def cmd_plot(args) -> int:
 
 
 def cmd_test(args) -> int:
-    seed = args.seed
-    try:
-        features = read_csv_features(args.input)
-    except CsvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    by_name = {f.name: f for f in features}
+    by_name = {f.name: f for f in read_csv_features(args.input)}
     if args.column not in by_name:
-        print(f"error: column {args.column!r} not found "
-              f"(have: {', '.join(by_name)})", file=sys.stderr)
-        return 2
+        raise CsvError(f"column {args.column!r} not found (have: {', '.join(by_name)})")
     f = by_name[args.column]
-    try:
-        r = feature_report(f, args.replicates, seed)
-    except (FineStructError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    r = feature_report(f, args.replicates, args.seed)
     diagnostic = f"ConstantFeature: {SKEW_UNDEFINED}" if math.isnan(r.skew_g1) else None
     if args.json:
         out = {"feature": f.name, "n": len(f), "missing": f.missing_count,
@@ -298,46 +279,53 @@ def cmd_test(args) -> int:
     return 0
 
 
+def _number(text: str) -> float:
+    """A finite float from a command-line parameter, else BadSpec."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise BadSpec(f"{text!r} is not a finite number")
+
+
 def _parse_mixture(text: str) -> GaussMixSpec:
     comps = []
     for part in text.split(","):
         fields = part.split(":")
         if len(fields) != 3:
-            raise ValueError(f"bad mixture component {part!r}, expected MEAN:SD:WEIGHT")
-        mean, sd, weight = (float(v) for v in fields)
+            raise BadSpec(f"bad mixture component {part!r}, expected MEAN:SD:WEIGHT")
+        mean, sd, weight = map(_number, fields)
         comps.append((weight, mean, sd))
     return GaussMixSpec(tuple(comps))
 
 
-def cmd_gen(args) -> int:
-    seed = args.seed
-    t0 = time.perf_counter()
-    try:
-        if args.kind == "uniform":
-            if len(args.params) != 2:
-                raise ValueError("uniform needs LOW HIGH")
-            series = sample_uniform(args.n, float(args.params[0]), float(args.params[1]), seed)
-        elif args.kind == "gaussmix":
-            if len(args.params) != 1:
-                raise ValueError("gaussmix needs one MEAN:SD:WEIGHT,... argument")
-            series = sample_gauss_mixture(args.n, _parse_mixture(args.params[0]), seed)
-        else:
-            if len(args.params) != 1:
-                raise ValueError("skewnorm needs XI")
-            series = sample_skew_normal(args.n, SkewSpec(xi=float(args.params[0])), seed)
-    except (ValueError, FineStructError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    lines = [series.name] + [repr(float(v)) for v in series.values]
+def _write_lines(args, lines: list[str], config: dict, t0: float) -> int:
+    """Write ``lines`` to ``--output`` with a manifest beside it, or to stdout."""
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _write_manifest(_stem(args.output, ".csv") + ".manifest.json", "gen", seed,
-                        {"kind": args.kind, "params": args.params, "n": args.n}, t0)
+        _write_manifest(_stem(args.output, ".csv") + ".manifest.json", args.command, args.seed,
+                        config, t0)
     else:
         sys.stdout.write(text)
     return 0
+
+
+def cmd_gen(args) -> int:
+    t0 = time.perf_counter()
+    usage = _GEN_PARAMS[args.kind]
+    if len(args.params) != len(usage.split()):
+        raise BadSpec(f"{args.kind} needs {usage}")
+    if args.kind == "uniform":
+        series = sample_uniform(args.n, *map(_number, args.params), args.seed)
+    elif args.kind == "gaussmix":
+        series = sample_gauss_mixture(args.n, _parse_mixture(args.params[0]), args.seed)
+    else:
+        series = sample_skew_normal(args.n, SkewSpec(xi=_number(args.params[0])), args.seed)
+    return _write_lines(args, [series.name] + [repr(float(v)) for v in series.values],
+                        {"kind": args.kind, "params": args.params, "n": args.n}, t0)
 
 
 def run_bench(experiment: str, sweep, iterations: int, B: int, n: int | None, seed: int):
@@ -367,43 +355,35 @@ def run_bench(experiment: str, sweep, iterations: int, B: int, n: int | None, se
 
 
 def cmd_bench(args) -> int:
-    seed = args.seed
     t0 = time.perf_counter()
-    try:
-        sweep = [float(v) for v in args.sweep.split(",") if v.strip()]
-        if not sweep:
-            raise ValueError("empty sweep")
-        if args.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if args.replicates < 1:
-            raise ValueError("replicates must be at least 1")
-        if args.experiment == "skew" and any(v <= 0 for v in sweep):
-            raise ValueError("skew sweep values must be positive")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sweep = [_number(v) for v in args.sweep.split(",") if v.strip()]
+    if not sweep:
+        raise BadSpec("empty sweep")
+    if args.iterations < 1:
+        raise BadSpec("iterations must be at least 1")
+    if args.replicates < 1:
+        raise BadSpec("replicates must be at least 1")
+    if args.experiment == "skew" and any(v <= 0 for v in sweep):
+        raise BadSpec("skew sweep values must be positive")
     rows, summaries = run_bench(args.experiment, sweep, args.iterations,
-                                args.replicates, args.n, seed)
+                                args.replicates, args.n, args.seed)
     lines = ["param,iteration,p"]
     lines += [f"{param:g},{t},{p!r}" for param, t, p in rows]
     lines += [f"{param:g},{label},{p!r}" for param, label, p in summaries]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _write_manifest(_stem(args.output, ".csv") + ".manifest.json", "bench", seed,
-                        {"experiment": args.experiment, "sweep": sweep,
-                         "iterations": args.iterations, "replicates": args.replicates,
-                         "n": args.n}, t0)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_lines(args, lines, {"experiment": args.experiment, "sweep": sweep,
+                                      "iterations": args.iterations,
+                                      "replicates": args.replicates, "n": args.n}, t0)
 
 
 def main(argv=None) -> int:
+    """Run one command; a FineStructError or OSError prints ``error: <message>``."""
     args = build_parser().parse_args(argv)
     handler = {"plot": cmd_plot, "test": cmd_test, "gen": cmd_gen, "bench": cmd_bench}
-    return handler[args.command](args)
+    try:
+        return handler[args.command](args)
+    except (FineStructError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, NoPlottableFeatures) else 2
 
 
 if __name__ == "__main__":

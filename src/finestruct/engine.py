@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityCurve, pde_estimate
-from .errors import DegenerateSpread, FineStructError, NoPlottableFeatures, TooFewPoints
+from .errors import BadSpec, DegenerateSpread, FineStructError, NoPlottableFeatures, TooFewPoints
 from .stats_core import (
     DescriptiveStats,
     FeatureSeries,
@@ -67,15 +67,15 @@ class EngineConfig:
 
     def __post_init__(self):
         if self.min_data < 2:
-            raise ValueError("min_data must be at least 2")
+            raise BadSpec("min_data must be at least 2")
         if self.min_unique < 1:
-            raise ValueError("min_unique must be at least 1")
+            raise BadSpec("min_unique must be at least 1")
         if self.sample_size_cap < self.min_data:
-            raise ValueError("sample_size_cap must be at least min_data")
+            raise BadSpec("sample_size_cap must be at least min_data")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+            raise BadSpec("alpha must be in (0, 1)")
         if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+            raise BadSpec("replicates must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -316,6 +316,8 @@ def build_plot_model(features, cfg: EngineConfig) -> PlotModel:
     pad = 0.01 * span if span > 0 else 0.5
     if pad == math.inf:  # hi - lo overflows; the pad itself need not
         pad = 0.01 * hi - 0.01 * lo
+    if lo - pad == hi + pad:  # one value so large (|v| >= 2**53) that v ± 0.5 rounds to v
+        pad = 0.01 * abs(lo)
     top = sys.float_info.max
     return PlotModel(
         glyphs=tuple(glyphs),

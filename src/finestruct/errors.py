@@ -26,8 +26,8 @@ class BadRange(FineStructError):
     (overflows) or too narrow (spans too few floats) for the computation."""
 
 
-class BadSpec(FineStructError):
-    """Generator specification is invalid."""
+class BadSpec(FineStructError, ValueError):
+    """A parameter value (config field, generator spec, CLI value) is invalid."""
 
 
 class NoPlottableFeatures(FineStructError):

@@ -26,6 +26,8 @@ class GaussMixSpec:
         comps = tuple((float(w), float(m), float(s)) for w, m, s in self.components)
         if not comps:
             raise BadSpec("mixture needs at least one component")
+        if not all(math.isfinite(v) for comp in comps for v in comp):
+            raise BadSpec("mixture weights, means and sds must be finite")
         if abs(sum(w for w, _, _ in comps) - 1.0) > 1e-12:
             raise BadSpec("mixture weights must sum to 1")
         if any(w < 0 for w, _, _ in comps):
@@ -47,8 +49,8 @@ class SkewSpec:
     standardized: bool = True
 
     def __post_init__(self):
-        if not self.xi > 0:
-            raise BadSpec("xi must be positive")
+        if not (self.xi > 0 and math.isfinite(self.xi * self.xi + 1 / self.xi / self.xi)):
+            raise BadSpec("xi must be positive, with xi**2 and xi**-2 finite")
 
 
 def skew_normal_moments(xi: float) -> tuple[float, float]:
@@ -65,6 +67,8 @@ def sample_uniform(n: int, low: float, high: float, seed: int = 0) -> FeatureSer
         raise BadSpec("n must be at least 1")
     if low >= high:
         raise BadRange(f"need low < high, got [{low}, {high}]")
+    if not math.isfinite(high - low):
+        raise BadSpec(f"[{low}, {high}] must be finite with a finite width")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return FeatureSeries("uniform", rng.uniform(low, high, n))
 
@@ -79,6 +83,8 @@ def sample_gauss_mixture(n: int, spec: GaussMixSpec, seed: int = 0) -> FeatureSe
     sds = np.array([c[2] for c in spec.components])
     comp = rng.choice(w.size, size=n, p=w)
     values = rng.normal(means[comp], sds[comp])
+    if not np.isfinite(values).all():
+        raise BadSpec("mixture draws overflow the float range")
     return FeatureSeries("gaussmix", values)
 
 

@@ -8,13 +8,14 @@ Output is plain SVG 1.1 text, byte-identical for identical inputs.
 from __future__ import annotations
 
 import math
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import PlotModel
-from .errors import NoPlottableFeatures
+from .errors import BadSpec, NoPlottableFeatures
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -29,6 +30,7 @@ GLYPH_FILL = "#9aa0a6"
 GAUSSIAN_COLOR = "magenta"
 BOX_COLOR = "black"
 REFERENCE_LINE_COLOR = "red"
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,11 @@ def _tick_label(v: float) -> str:
     return f"{v:g}"
 
 
+def _svg_text(text: str) -> str:
+    """``text`` with each character XML 1.0 forbids replaced by U+FFFD."""
+    return _NOT_XML_CHAR.sub("\ufffd", text)
+
+
 def gaussian_overlay_path(mu: float, sigma: float, kernels, width_scale: float = 1.0) -> np.ndarray:
     """Normal pdf sampled on the glyph's kernels, scaled like the density.
 
@@ -118,7 +125,8 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
     """Render a plot model to an SVG 1.1 document.
 
     ``reference_lines`` are data-space y values drawn as horizontal lines
-    across the plot.
+    across the plot; one with no finite pixel row (NaN, inf, or too far off the
+    y range) raises BadSpec.
     """
     if not model.glyphs:
         raise NoPlottableFeatures("plot model has no glyphs")
@@ -145,7 +153,7 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
             "x": _fmt(WIDTH_PX / 2.0), "y": _fmt(MARGIN_TOP * 0.6),
             "text-anchor": "middle", "font-family": "sans-serif", "font-size": "16",
         })
-        title.text = model.title
+        title.text = _svg_text(model.title)
 
     # y axis with ticks
     axis_g = ET.SubElement(root, "g", {"stroke": "black", "stroke-width": "1"})
@@ -214,10 +222,12 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
             "x": _fmt(cx), "y": _fmt(MARGIN_TOP + plot_h + 18.0),
             "text-anchor": "middle", "font-family": "sans-serif", "font-size": "11",
         })
-        name.text = glyph.feature
+        name.text = _svg_text(glyph.feature)
 
     for ref in reference_lines:
         py = axis.to_px(float(ref))
+        if not math.isfinite(py):
+            raise BadSpec(f"reference line {ref!r} has no finite pixel row")
         ET.SubElement(root, "line", {
             "x1": _fmt(MARGIN_LEFT), "y1": _fmt(py),
             "x2": _fmt(MARGIN_LEFT + plot_w), "y2": _fmt(py),

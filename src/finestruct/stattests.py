@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConstantFeature, TooFewPoints
+from .errors import BadSpec, ConstantFeature, TooFewPoints
 from .stats_core import FeatureSeries, moments
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
@@ -210,7 +210,7 @@ def dip_pvalue_mc(d: float, n: int, B: int, seed: int = 0) -> float:
     if n < 2:
         raise TooFewPoints("dip p-value needs n >= 2")
     if B < 1:
-        raise ValueError("B must be at least 1")
+        raise BadSpec("B must be at least 1")
     null = _null_dips(int(n), int(B), int(seed) & _SEED_MASK)
     exceed = int(np.count_nonzero(null >= d))
     return (1 + exceed) / (B + 1)

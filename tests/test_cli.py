@@ -1,6 +1,7 @@
 import json
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,3 +376,69 @@ class TestBenchCommand:
     def test_bad_sweep_exit_2(self, capsys):
         assert main(["bench", "skew", "--sweep", "-1.0", "--iterations", "1"]) == 2
         capsys.readouterr()
+
+
+def _exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_PLOT = ["plot", "in.csv", "-o", "o.svg", "--replicates", "9"]
+_BIMODAL = ["bench", "bimodal", "--iterations", "1", "--replicates", "9"]
+_SKEW = ["bench", "skew", "--iterations", "1"]
+# argv and the exit code it must give: 2 with an error line and no traceback, or
+# 0 with an SVG that an XML parser accepts
+EXIT_CASES = {
+    "plot-not-utf8": (["plot", "latin1.csv", "-o", "o.svg"], 2),
+    "test-not-utf8": (["test", "latin1.csv", "a"], 2),
+    "plot-field-over-limit": (["plot", "long.csv", "-o", "o.svg"], 2),
+    "test-field-over-limit": (["test", "long.csv", "a"], 2),
+    "plot-constant-1.7e18": (["plot", "huge.csv", "-o", "o.svg", "--replicates", "9"], 0),
+    "plot-constant-2**53+1": (["plot", "2p53.csv", "-o", "o.svg", "--replicates", "9"], 0),
+    "plot-unwritable-output": (["plot", "in.csv", "-o", "nodir/o.svg", "--replicates", "9"], 2),
+    "plot-unwritable-report": ([*_PLOT, "--report", "nodir/r.json"], 2),
+    "gen-unwritable-output": (["gen", "uniform", "0", "1", "--n", "5", "-o", "nodir/g.csv"], 2),
+    "gen-infinite-high": (["gen", "uniform", "0", "inf", "--n", "5"], 2),
+    "gen-gaussmix-overflow": (["gen", "gaussmix", "1e308:1e308:1", "--n", "50"], 2),
+    "gen-skewnorm-huge-xi": (["gen", "skewnorm", "1e200", "--n", "5"], 2),
+    "gen-skewnorm-tiny-xi": (["gen", "skewnorm", "1e-200", "--n", "5"], 2),
+    "bench-n-0": ([*_BIMODAL, "--sweep", "3", "--n", "0"], 2),
+    "bench-n-1": ([*_BIMODAL, "--sweep", "3", "--n", "1"], 2),
+    "bench-skew-n-5": ([*_SKEW, "--sweep", "1", "--n", "5"], 2),
+    "bench-negative-seed": ([*_SKEW, "--sweep", "1", "--n", "50", "--seed", "-1"], 2),
+    "bench-skew-sweep-nan": ([*_SKEW, "--sweep", "nan", "--n", "50"], 2),
+    "bench-bimodal-sweep-inf": ([*_BIMODAL, "--sweep", "inf", "--n", "50"], 2),
+    "plot-hline-nan": ([*_PLOT, "--hline", "nan"], 2),
+    "plot-control-char-name": (["plot", "ctrl.csv", "-o", "o.svg", "--replicates", "9"], 0),
+    "plot-control-char-title": ([*_PLOT, "--title", "t\x01\x1f"], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_exit_code_policy(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    _write_normal_csv(tmp_path / "in.csv", n=60, cols=("a",))
+    Path("latin1.csv").write_bytes(b"a\n1\n\xe9\n2\n")
+    Path("long.csv").write_text("a\n1\n" + "9" * 131_073 + "\n")
+    Path("huge.csv").write_text("c\n" + "1700000000000000000\n" * 60)
+    Path("2p53.csv").write_text("c\n" + "9007199254740993\n" * 60)
+    Path("ctrl.csv").write_text("a\x01b\n" + Path("in.csv").read_text().split("\n", 1)[1])
+    argv, expected = EXIT_CASES[case]
+    assert _exit_code(argv) == expected
+    err = capsys.readouterr().err
+    if expected == 2:
+        assert "error:" in err and "Traceback" not in err
+        return
+    assert err == ""
+    svg = Path("o.svg").read_text(encoding="utf-8")
+    root = ET.fromstring(svg)
+    assert "nan" not in svg and "inf" not in svg
+    texts = [el.text for el in root.iter(f"{SVGNS}text")]
+    report = json.loads(Path("o.report.json").read_text())
+    if case == "plot-control-char-name":  # the report keeps the real name
+        assert "a\ufffdb" in texts and report["features"][0]["name"] == "a\x01b"
+    if case == "plot-control-char-title":
+        assert "t\ufffd\ufffd" in texts and report["title"] == "t\x01\x1f"

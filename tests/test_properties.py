@@ -3,9 +3,13 @@
 Samples mix sizes from 2 to 400, heavy ties, magnitudes from 1e-300 to 1e300
 and offsets up to 1e17. Each example is built from a drawn seed with numpy,
 so a failing example shrinks to a small (n, scale, offset, ties, seed) tuple.
+The CLI property draws whole CSV files instead: cells, names and row shapes.
 """
 import math
+import os
+import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -17,11 +21,13 @@ from finestruct import (
     ConstantFeature,
     FeatureSeries,
     FineStructError,
+    ScalingMode,
     dagostino_skewness,
     describe,
     dip_statistic,
     pde_estimate,
 )
+from finestruct.cli import main
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=500, deadline=None, database=None)
 
@@ -75,3 +81,63 @@ def test_skewness_defined_alike(x):
 @given(extreme_samples(max_n=20, max_exp=3, max_offset=1e3))
 def test_dip_matches_lp_oracle(x):
     assert dip_statistic(x) == pytest.approx(dip_lp_oracle(x), abs=1e-7)
+
+
+SPECIAL_CELLS = st.sampled_from(["", "NA", "inf", "-inf", "nan", "1.7e308", "-1.7e308",
+                                 "5e-324", "1700000000000000000", "junk", " 3 ", "0x1p3"])
+ORDINARY_CELLS = st.floats(-1e3, 1e3).map(repr)
+OFFSET_CELLS = st.integers(-200, 200).map(lambda k: repr(1e17 + 16.0 * k))  # 16 = ulp(1e17)
+MISSING_CELLS = st.sampled_from(["", "NA", "nan"])
+COLUMN_CELLS = [  # a column of ordinary floats or of 1e17 offsets, some missing; or of anything
+    st.one_of(ORDINARY_CELLS, ORDINARY_CELLS, ORDINARY_CELLS, MISSING_CELLS),
+    st.one_of(OFFSET_CELLS, OFFSET_CELLS, OFFSET_CELLS, MISSING_CELLS),
+    st.one_of(ORDINARY_CELLS, OFFSET_CELLS, SPECIAL_CELLS),
+]
+# a visible first character, then control characters among others; no letter of
+# "nan" or "inf", so a name cannot put either word into the SVG
+NAMES = st.tuples(st.sampled_from("xyzXYZ_\u00e9"),
+                  st.text(alphabet="xyz-. \x01\x08\x0b\x0c\x1f\x7f\ufffe", max_size=3)).map("".join)
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """A CSV file: a header, perhaps with a repeated name, then full, short or long rows."""
+    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique_by=str.strip))
+    columns = [draw(st.sampled_from(COLUMN_CELLS)) for _ in names]
+    shape = draw(st.sampled_from(["full", "full", "full", "short", "long", "duplicate"]))
+    rows = []
+    for _ in range(draw(st.one_of(st.integers(1, 12), st.integers(50, 80)))):
+        cells = len(names) if shape != "short" else draw(st.integers(0, len(names)))
+        rows.append(",".join(draw(col) for col in columns[:cells]))
+    if shape == "long" and rows:
+        rows[draw(st.integers(0, len(rows) - 1))] += ",1" * len(names)
+    if shape == "duplicate":
+        names.append(names[0])
+    return "\n".join([",".join(names), *rows]) + "\n"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(csv_texts(), st.sampled_from([m.value for m in ScalingMode]),
+       st.sampled_from(["10", "50"]), st.booleans())
+def test_cli_on_any_csv_text(text, scaling, min_data, boxplot):
+    # exit 0, 2 or 3 and no exception; on 0 a parseable, finite SVG, and the
+    # same SVG and report bytes from a second run
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "in.csv")
+        with open(src, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        outputs = []
+        for run in ("a", "b"):
+            svg = os.path.join(tmp, run + ".svg")
+            args = ["plot", src, "-o", svg, "--replicates", "9", "--scaling", scaling,
+                    "--min-data", min_data] + ["--boxplot"] * boxplot
+            code = main(args)
+            assert code in (0, 2, 3)
+            if code != 0:
+                return
+            with open(svg, "rb") as fh, open(os.path.join(tmp, run + ".report.json"), "rb") as rf:
+                outputs.append((fh.read(), rf.read()))
+        svg_bytes = outputs[0][0]
+        ET.fromstring(svg_bytes)
+        assert b"nan" not in svg_bytes and b"inf" not in svg_bytes
+        assert outputs[0] == outputs[1]
