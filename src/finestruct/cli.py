@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 import time
 from collections import Counter
@@ -81,6 +82,14 @@ def read_csv_features(path: str) -> list[FeatureSeries]:
 _GEN_PARAMS = {"uniform": "LOW HIGH", "gaussmix": "MEAN:SD:WEIGHT,...", "skewnorm": "XI"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number with an exponent (``-1e-3``) as a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _seed(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
@@ -92,9 +101,9 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="finestruct",
-                                description="Fine structure of univariate distributions: "
-                                            "mirrored-density plots, dip and skewness tests.")
+    p = _Parser(prog="finestruct",
+                description="Fine structure of univariate distributions: "
+                            "mirrored-density plots, dip and skewness tests.")
     p.add_argument("--version", action="version", version=f"finestruct {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -15,25 +15,22 @@ import numpy as np
 from .errors import BadRange, ConstantFeature, TooFewPoints
 from .stats_core import seeded_subsample
 
+PARETO_QUANTILE = 0.18  # of the pairwise distances; a neighborhood holds ~20% of the data
+LARGE_N_THRESHOLD = 1024  # above it the radius shrinks by (n/threshold)^(-1/5)
+GRID_MIN = 64
+GRID_MAX = 2048
+SPACING_DIVISOR = 4.0  # kernel spacing is radius / SPACING_DIVISOR
+
 
 @dataclass(frozen=True)
 class PdeConfig:
-    pareto_quantile: float = 0.18
+    """Above ``distance_sample_cap`` points the radius is taken on a seeded subsample."""
+
     distance_sample_cap: int = 5000
-    large_n_threshold: int = 1024
-    grid_min: int = 64
-    grid_max: int = 2048
-    spacing_divisor: float = 4.0
 
     def __post_init__(self):
-        if not 0.0 < self.pareto_quantile < 1.0:
-            raise ValueError("pareto_quantile must be in (0, 1)")
-        if self.grid_min > self.grid_max:
-            raise ValueError("grid_min must not exceed grid_max")
-        if min(self.distance_sample_cap, self.large_n_threshold, self.grid_min) < 1:
-            raise ValueError("caps must be positive")
-        if self.spacing_divisor <= 0:
-            raise ValueError("spacing_divisor must be positive")
+        if self.distance_sample_cap < 2:
+            raise ValueError("distance_sample_cap must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -84,12 +81,13 @@ def _pairwise_diffs(sorted_values: np.ndarray) -> np.ndarray:
 
 
 def pareto_radius(values, cfg: PdeConfig = PdeConfig(), seed: int = 0) -> float:
-    """Neighborhood radius: the ``pareto_quantile`` of pairwise distances.
+    """Neighborhood radius: the ``PARETO_QUANTILE`` of pairwise distances.
 
     Above ``distance_sample_cap`` points the distances are taken on a seeded
     uniform subsample. A zero quantile (heavy ties) escalates to the smallest
-    strictly positive distance. Above ``large_n_threshold`` the radius shrinks
-    by (n/threshold)^(-1/5) so dense samples keep local detail. A range that
+    strictly positive distance, which is always a gap between neighbors of
+    the sorted sample. Above ``LARGE_N_THRESHOLD`` the radius shrinks by
+    (n/threshold)^(-1/5) so dense samples keep local detail. A range that
     overflows the float range raises BadRange.
     """
     x = np.asarray(values, dtype=float).ravel()
@@ -102,39 +100,35 @@ def pareto_radius(values, cfg: PdeConfig = PdeConfig(), seed: int = 0) -> float:
         raise BadRange("the value range overflows the float range")
     cap = cfg.distance_sample_cap
     sample = np.sort(seeded_subsample(x, cap, seed) if n > cap else x)
-    d = _pairwise_diffs(sample)
-    r = float(np.quantile(d, cfg.pareto_quantile))
+    r = float(np.quantile(_pairwise_diffs(sample), PARETO_QUANTILE, overwrite_input=True))
     if r <= 0.0:
-        pos = d[d > 0.0]
-        if pos.size:
-            r = float(pos.min())
-        else:
-            # subsample happened to be constant; fall back to the full data
+        gaps = np.diff(sample)
+        if not gaps.any():  # subsample happened to be constant; fall back to the full data
             gaps = np.diff(np.unique(x))
-            r = float(gaps.min())
-    if n > cfg.large_n_threshold:
-        r *= (n / cfg.large_n_threshold) ** (-0.2)
+        r = float(gaps[gaps > 0.0].min())
+    if n > LARGE_N_THRESHOLD:
+        r *= (n / LARGE_N_THRESHOLD) ** (-0.2)
     return r
 
 
-def pde_estimate(values, cfg: PdeConfig = PdeConfig(), seed: int = 0) -> DensityCurve:
+def pde_estimate(values, seed: int = 0) -> DensityCurve:
     """Pareto density estimate on an even kernel grid spanning the data range.
 
-    The kernel count is ceil(range / (radius/spacing_divisor)) + 1, clamped to
-    [grid_min, grid_max]. Raw density at kernel g is |{x : |x - g| <= r}|,
+    The kernel count is ceil(range / (radius/SPACING_DIVISOR)) + 1, clamped to
+    [GRID_MIN, GRID_MAX]. Raw density at kernel g is |{x : |x - g| <= r}|,
     then the vector is normalized to unit trapezoidal integral. A range that
     holds fewer distinct floats than kernels, or a density that overflows,
     raises BadRange.
     """
     x = np.asarray(values, dtype=float).ravel()
-    r = pareto_radius(x, cfg, seed)
+    r = pareto_radius(x, seed=seed)
     lo = float(x.min())
     hi = float(x.max())
-    step = r / cfg.spacing_divisor
+    step = r / SPACING_DIVISOR
     if not step > 0.0:
         raise BadRange(f"radius {r!r} is below float resolution")
-    m = int(np.ceil(min((hi - lo) / step, cfg.grid_max))) + 1
-    m = min(max(m, cfg.grid_min), cfg.grid_max)
+    m = int(np.ceil(min((hi - lo) / step, GRID_MAX))) + 1
+    m = min(max(m, GRID_MIN), GRID_MAX)
     kernels = np.linspace(lo, hi, m)
     if np.any(np.diff(kernels) <= 0):
         raise BadRange(f"[{lo!r}, {hi!r}] holds fewer than {m} distinct floats")

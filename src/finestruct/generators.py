@@ -39,14 +39,9 @@ class GaussMixSpec:
 
 @dataclass(frozen=True)
 class SkewSpec:
-    """Skew parameter xi > 0; xi = 1 is the standard normal.
-
-    With standardized=True the output is shifted/scaled to mean 0, variance 1
-    so xi is the only moving part.
-    """
+    """Skew parameter xi > 0; xi = 1 is the standard normal."""
 
     xi: float
-    standardized: bool = True
 
     def __post_init__(self):
         if not (self.xi > 0 and math.isfinite(self.xi * self.xi + 1 / self.xi / self.xi)):
@@ -93,6 +88,8 @@ def sample_skew_normal(n: int, spec: SkewSpec, seed: int = 0) -> FeatureSeries:
 
     Draws a half-normal magnitude |Z|, then emits +|Z|*xi with probability
     xi^2/(1+xi^2) and -|Z|/xi otherwise. xi and 1/xi give mirror-image laws.
+    The draw is standardized to mean 0 and variance 1 with the analytic
+    moments, so xi is the only moving part.
     """
     if n < 1:
         raise BadSpec("n must be at least 1")
@@ -101,7 +98,5 @@ def sample_skew_normal(n: int, spec: SkewSpec, seed: int = 0) -> FeatureSeries:
     mag = np.abs(rng.normal(size=n))
     pos = rng.random(n) < xi * xi / (1.0 + xi * xi)
     values = np.where(pos, mag * xi, -mag / xi)
-    if spec.standardized:
-        mean, sd = skew_normal_moments(xi)
-        values = (values - mean) / sd
-    return FeatureSeries("skewnorm", values)
+    mean, sd = skew_normal_moments(xi)
+    return FeatureSeries("skewnorm", (values - mean) / sd)

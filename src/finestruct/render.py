@@ -35,7 +35,7 @@ _NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\ufff
 
 @dataclass(frozen=True)
 class AxisTransform:
-    """Affine map between data-space y values and pixel rows."""
+    """Affine map from data-space y values to pixel rows."""
 
     y_low: float
     y_high: float
@@ -49,13 +49,6 @@ class AxisTransform:
         else:
             frac = (self.y_high - y) / span
         return self.px_top + frac * self.px_height
-
-    def to_data(self, px: float) -> float:
-        frac = (px - self.px_top) / self.px_height
-        span = self.y_high - self.y_low
-        if span == math.inf:
-            return (self.y_high / 2 - frac * (self.y_high / 2 - self.y_low / 2)) * 2
-        return self.y_high - frac * span
 
 
 def nice_ticks(lo: float, hi: float) -> list[float]:

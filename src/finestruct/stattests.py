@@ -42,6 +42,22 @@ class TestReport:
         return asdict(self)
 
 
+def _minorant_starts(x: list) -> list:
+    """mn[j]: start of the greatest-convex-minorant chord ending at j, x sorted."""
+    mn = [0] * len(x)
+    for j in range(1, len(x)):
+        xj = x[j]
+        m = j - 1
+        while m > 0:
+            mm = mn[m]
+            xm = x[m]
+            if (xj - xm) * (m - mm) < (xm - x[mm]) * (j - m):
+                break
+            m = mm
+        mn[j] = m
+    return mn
+
+
 def _dip_sorted(x: list) -> float:
     """Dip of an ascending-sorted sample, given as a list of floats.
 
@@ -58,31 +74,11 @@ def _dip_sorted(x: list) -> float:
     high = n - 1
     dip = 1.0  # in 2n units; enforces the 1/(2n) lower bound
 
-    # mn[j]: start of the convex-minorant chord ending at j
-    mn = [0] * n
-    for j in range(1, n):
-        xj = x[j]
-        m = j - 1
-        while m > 0:
-            mm = mn[m]
-            xm = x[m]
-            if (xj - xm) * (m - mm) < (xm - x[mm]) * (j - m):
-                break
-            m = mm
-        mn[j] = m
-    # mj[k]: end of the concave-majorant chord starting at k
-    mj = [0] * n
-    mj[n - 1] = n - 1
-    for k in range(n - 2, -1, -1):
-        xk = x[k]
-        m = k + 1
-        while m != n - 1:
-            mm = mj[m]
-            xm = x[m]
-            if (xk - xm) * (m - mm) < (xm - x[mm]) * (k - m):
-                break
-            m = mm
-        mj[k] = m
+    mn = _minorant_starts(x)
+    # mj[k], the end of the concave-majorant chord starting at k, mirrors the
+    # minorant of the reflected sample: each comparison multiplies the same two
+    # floats with both signs flipped, so mj is exact
+    mj = [n - 1 - m for m in reversed(_minorant_starts([-v for v in reversed(x)]))]
 
     gcm = [0] * n
     lcm = [0] * n

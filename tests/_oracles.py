@@ -2,9 +2,10 @@
 
 These deliberately share no code with the package: the dip oracle solves
 linear programs over piecewise-linear unimodal CDFs, the dip reference is a
-frozen copy of the earlier ndarray dip kernel, the skewness oracle re-derives
-the z transformation step by step in plain math, and the skew-normal moment
-oracle integrates the density numerically.
+frozen copy of the earlier ndarray dip kernel, the Pareto radius oracle takes
+the quantile over every pairwise distance by definition, the skewness oracle
+re-derives the z transformation step by step in plain math, and the
+skew-normal moment oracle integrates the density numerically.
 """
 import math
 
@@ -245,6 +246,36 @@ def dip_sorted_reference(x):
         low = gcm[ig]
         high = lcm[ih]
     return dip / (2.0 * n)
+
+
+def pareto_radius_oracle(values, cap, seed, quantile=0.18, threshold=1024):
+    """Pareto radius by definition: a low quantile of all pairwise distances.
+
+    Above ``cap`` points it draws ``cap`` indices without replacement from a
+    ``SeedSequence(seed)`` generator, as the package's subsample does. The
+    radius is np.quantile over every difference x[j] - x[i], i < j, of the
+    sorted sample; a zero quantile escalates to the smallest positive
+    difference, or, when the sample is constant, to the smallest gap between
+    distinct values of the full data. Above ``threshold`` points the radius
+    shrinks by (n/threshold)^(-1/5).
+    """
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    sample = x
+    if n > cap:
+        idx = np.random.default_rng(np.random.SeedSequence(seed)).choice(n, size=cap, replace=False)
+        sample = x[np.sort(idx)]
+    sample = np.sort(sample)
+    i, j = np.triu_indices(sample.size, k=1)
+    d = sample[j] - sample[i]
+    r = float(np.quantile(d, quantile))
+    if r <= 0.0:
+        positive = d[d > 0.0]
+        distinct = np.unique(x)
+        r = float(positive.min() if positive.size else np.min(distinct[1:] - distinct[:-1]))
+    if n > threshold:
+        r *= (n / threshold) ** (-0.2)
+    return r
 
 
 def skewness_z_oracle(values):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import pareto_radius_oracle
 from finestruct import (
     ConstantFeature,
     PdeConfig,
@@ -9,6 +10,7 @@ from finestruct import (
     pareto_radius,
     pde_estimate,
 )
+from finestruct.density import GRID_MAX, GRID_MIN
 
 
 class TestParetoRadius:
@@ -35,13 +37,11 @@ class TestParetoRadius:
         assert r == 2.0
 
     def test_large_n_shrink(self):
+        # 2048 points: the unshrunk quantile times (2048/1024)^(-1/5)
         rng = np.random.default_rng(4)
         x = rng.normal(size=2048)
-        cfg = PdeConfig()
-        base = PdeConfig(large_n_threshold=4096)
-        r_shrunk = pareto_radius(x, cfg, seed=0)
-        r_raw = pareto_radius(x, base, seed=0)
-        assert r_shrunk == pytest.approx(r_raw * (2048 / 1024) ** -0.2, rel=1e-12)
+        r_raw = pareto_radius_oracle(x, cap=5000, seed=0, threshold=4096)
+        assert pareto_radius(x, seed=0) == pytest.approx(r_raw * (2048 / 1024) ** -0.2, rel=1e-12)
 
     def test_subsample_deterministic(self):
         rng = np.random.default_rng(8)
@@ -71,9 +71,8 @@ class TestPdeEstimate:
     def test_grid_count_clamped(self):
         rng = np.random.default_rng(14)
         x = rng.normal(size=500)
-        cfg = PdeConfig()
-        curve = pde_estimate(x, cfg)
-        assert cfg.grid_min <= curve.kernels.size <= cfg.grid_max
+        curve = pde_estimate(x)
+        assert GRID_MIN <= curve.kernels.size <= GRID_MAX
 
     def test_clipping_no_mass_outside(self):
         rng = np.random.default_rng(15)
@@ -111,10 +110,10 @@ class TestPdeEstimate:
         assert c1.radius == c2.radius
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PdeConfig(pareto_quantile=0.0)
-        with pytest.raises(ValueError):
-            PdeConfig(grid_min=100, grid_max=10)
+        # a subsample of one point has no pairwise distance
+        for cap in (0, 1):
+            with pytest.raises(ValueError):
+                PdeConfig(distance_sample_cap=cap)
 
 
 class TestNeighborhoodFraction:

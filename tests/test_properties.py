@@ -3,8 +3,9 @@
 Samples mix sizes from 2 to 400, heavy ties, magnitudes from 1e-300 to 1e300
 and offsets up to 1e17. Each example is built from a drawn seed with numpy,
 so a failing example shrinks to a small (n, scale, offset, ties, seed) tuple.
-The CLI property draws whole CSV files instead: cells, names and row shapes.
+The CLI properties draw whole CSV files instead: cells, names and row shapes.
 """
+import json
 import math
 import os
 import tempfile
@@ -16,15 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import dip_lp_oracle
+from _oracles import dip_lp_oracle, pareto_radius_oracle
 from finestruct import (
     ConstantFeature,
     FeatureSeries,
     FineStructError,
+    PdeConfig,
     ScalingMode,
     dagostino_skewness,
     describe,
     dip_statistic,
+    pareto_radius,
     pde_estimate,
 )
 from finestruct.cli import main
@@ -56,6 +59,18 @@ def test_pde_support_and_unit_mass(x):
     assert curve.kernels[0] >= x.min() and curve.kernels[-1] <= x.max()
     assert np.all(np.isfinite(curve.densities)) and np.all(curve.densities >= 0)
     assert abs(curve.integral() - 1.0) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(extreme_samples(), st.sampled_from([2, 7, 60, 5000]), st.integers(0, 2**32 - 1))
+def test_pareto_radius_matches_oracle(x, cap, seed):
+    # caps below n run the seeded subsample, and cap 2 its constant-subsample fallback
+    cfg = PdeConfig(distance_sample_cap=cap)
+    if x.min() == x.max() or not float(x.max()) - float(x.min()) < math.inf:
+        with pytest.raises(FineStructError):
+            pareto_radius(x, cfg, seed)
+        return
+    assert pareto_radius(x, cfg, seed) == pareto_radius_oracle(x, cap, seed)
 
 
 @PROPERTY_SETTINGS
@@ -141,3 +156,43 @@ def test_cli_on_any_csv_text(text, scaling, min_data, boxplot):
         ET.fromstring(svg_bytes)
         assert b"nan" not in svg_bytes and b"inf" not in svg_bytes
         assert outputs[0] == outputs[1]
+
+
+def _plot(tmp, text, run, *options):
+    """Exit code of ``plot`` on ``text``, and its report on exit 0."""
+    src = os.path.join(tmp, run + ".csv")
+    with open(src, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    code = main(["plot", src, "-o", os.path.join(tmp, run + ".svg"), "--replicates", "9",
+                 *options])
+    if code != 0:
+        return code, None
+    with open(os.path.join(tmp, run + ".report.json"), encoding="utf-8") as fh:
+        return code, json.load(fh)
+
+
+@st.composite
+def csv_texts_and_added_column(draw) -> tuple[str, str]:
+    """A CSV text, and the same text with one more column in front of the others."""
+    text = draw(csv_texts())
+    cells = draw(st.sampled_from(COLUMN_CELLS))
+    header, *rows = text.split("\n")[:-1]
+    wider = ["added," + header] + [draw(cells) + "," + row for row in rows]
+    return text, "\n".join(wider) + "\n"
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(csv_texts_and_added_column(), st.sampled_from([m.value for m in ScalingMode]))
+def test_added_column_leaves_other_entries_unchanged(texts, scaling):
+    # far below the cell budget nothing is subsampled, so a column's report
+    # entry, plotted or skipped, does not depend on its siblings
+    with tempfile.TemporaryDirectory() as tmp:
+        code, before = _plot(tmp, texts[0], "a", "--scaling", scaling, "--min-data", "10")
+        if code != 0:
+            return
+        code, after = _plot(tmp, texts[1], "b", "--scaling", scaling, "--min-data", "10")
+        assert code == 0
+        for key in ("features", "skipped"):
+            entries = {e["name"]: e for e in after[key]}
+            for entry in before[key]:
+                assert entries[entry["name"]] == entry

