@@ -177,7 +177,19 @@ def _stem(path: str, suffix: str) -> str:
 
 
 def _peak_rss_mb() -> float | None:
-    """Peak resident set size of this process so far, in MB (None without ``resource``)."""
+    """Peak resident set size of this process so far, in MB (None where unknown).
+
+    Linux reports it as ``VmHWM`` in /proc/self/status. ``ru_maxrss`` is only
+    the fallback: it survives ``exec``, so it starts at the peak of whichever
+    process spawned this one.
+    """
+    try:
+        with open("/proc/self/status", encoding="utf-8", errors="replace") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 2**10, 1)  # kB
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:

@@ -20,6 +20,7 @@ LARGE_N_THRESHOLD = 1024  # above it the radius shrinks by (n/threshold)^(-1/5)
 GRID_MIN = 64
 GRID_MAX = 2048
 SPACING_DIVISOR = 4.0  # kernel spacing is radius / SPACING_DIVISOR
+_BAND_SAMPLE = 8192  # differences sampled per narrowing round of the radius selection
 
 
 @dataclass(frozen=True)
@@ -68,25 +69,99 @@ def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
     return float(np.sum((y[1:] + y[:-1]) * 0.5 * np.diff(x)))
 
 
-def _pairwise_diffs(sorted_values: np.ndarray) -> np.ndarray:
-    """All n*(n-1)/2 non-negative pairwise differences of a sorted vector."""
-    n = sorted_values.size
-    out = np.empty(n * (n - 1) // 2)
-    pos = 0
-    for i in range(n - 1):
-        m = n - 1 - i
-        out[pos:pos + m] = sorted_values[i + 1:] - sorted_values[i]
-        pos += m
-    return out
+def _row_ends(xs: np.ndarray, t: float) -> np.ndarray:
+    """Per row i of sorted ``xs``: the first j > i whose computed xs[j] - xs[i] exceeds ``t``.
+
+    A row with no such j ends at xs.size. Rounding is monotone, so each row's
+    computed differences rise with j and the pairs at or below a finite ``t``
+    are a prefix of the row. The boundary of ``xs + t`` is only a candidate,
+    because that sum rounds too; it is corrected on the computed differences
+    one block of equal values at a time.
+    """
+    m = xs.size
+    first = np.arange(1, m + 1)
+    with np.errstate(over="ignore"):
+        ends = np.maximum(np.searchsorted(xs, xs + t, side="right"), first)
+    padded = np.append(xs, np.inf)
+    while (up := np.flatnonzero(padded[ends] - xs <= t)).size:
+        ends[up] = np.searchsorted(xs, xs[ends[up]], side="right")
+    while (down := np.flatnonzero((ends > first) & (xs[ends - 1] - xs > t))).size:
+        ends[down] = np.searchsorted(xs, xs[ends[down] - 1], side="left")
+    return ends
+
+
+def _pairs_before(ends: np.ndarray) -> int:
+    """Number of pairs that ``_row_ends`` boundaries leave at or below their threshold."""
+    return int(ends.sum()) - ends.size * (ends.size + 1) // 2
+
+
+def _band(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Computed differences at ``pos`` in the row-major list of the pairs lo[i] <= j < hi[i]."""
+    ends = np.cumsum(hi - lo)
+    rows = np.searchsorted(ends, pos, side="right")
+    return xs[pos + (hi - ends)[rows]] - xs[rows]
+
+
+def _pair_diff_ranks(xs: np.ndarray, k: int) -> tuple[float, float]:
+    """Ranks ``k`` and ``k + 1`` (0-based) of the computed pairwise differences of sorted ``xs``.
+
+    Needs k + 2 <= m(m-1)/2 for m = xs.size, and holds O(m) memory. The
+    bracket (t_lo, t_hi] contains both ranks; ``lo`` and ``hi`` are its row
+    ends, ``c_lo`` and ``c_hi`` the pairs at or below each bound. Each round
+    sorts a strided sample of the band's differences and probes a value below
+    and one above the ranks' expected place in it. A probed difference v
+    either lies outside [rank k, rank k + 1], and the bound moves past every
+    pair equal to v, or settles both ranks from the pairs below and at v.
+    Heavy ties therefore end in a probe, never in a band of tied pairs. When
+    the band holds O(m) pairs it is extracted and partitioned.
+    """
+    m = xs.size
+    first = np.arange(1, m + 1)
+    lo, hi = first, np.full(m, m)
+    c_lo, c_hi = 0, m * (m - 1) // 2
+    t_lo, t_hi = -math.inf, math.inf
+    while c_hi - c_lo > 4 * m + _BAND_SAMPLE:
+        band = c_hi - c_lo
+        sample = np.sort(_band(xs, lo, hi, np.arange(_BAND_SAMPLE) * band // _BAND_SAMPLE))
+        frac = (k + 1 - c_lo) / band
+        spread = 3.0 * math.sqrt(_BAND_SAMPLE * frac * (1.0 - frac)) + 1.0
+        picks = (max(int(frac * _BAND_SAMPLE - spread), 0),
+                 min(int(frac * _BAND_SAMPLE + spread), _BAND_SAMPLE - 1))
+        for v in (float(sample[i]) for i in picks):
+            if not t_lo < v <= t_hi:
+                continue
+            at = _row_ends(xs, v)
+            c_at = _pairs_before(at)
+            if c_at <= k:
+                lo, c_lo, t_lo = at, c_at, v
+                continue
+            prev = float(np.nextafter(v, -math.inf))
+            below = _row_ends(xs, prev)
+            c_below = _pairs_before(below)
+            if c_below >= k + 2:
+                hi, c_hi, t_hi = below, c_below, prev
+            elif c_below == k + 1:  # rank k is the largest difference below v
+                rows = np.flatnonzero(below > first)
+                return float((xs[below[rows] - 1] - xs[rows]).max()), v
+            elif c_at == k + 1:  # rank k + 1 is the smallest difference above v
+                rows = np.flatnonzero(at < m)
+                return v, float((xs[at[rows]] - xs[rows]).min())
+            else:
+                return v, v
+    vals = _band(xs, lo, hi, np.arange(c_hi - c_lo))
+    vals.partition([k - c_lo, k + 1 - c_lo])
+    return float(vals[k - c_lo]), float(vals[k + 1 - c_lo])
 
 
 def pareto_radius(values, cfg: PdeConfig = PdeConfig(), seed: int = 0) -> float:
     """Neighborhood radius: the ``PARETO_QUANTILE`` of pairwise distances.
 
     Above ``distance_sample_cap`` points the distances are taken on a seeded
-    uniform subsample. A zero quantile (heavy ties) escalates to the smallest
-    strictly positive distance, which is always a gap between neighbors of
-    the sorted sample. Above ``LARGE_N_THRESHOLD`` the radius shrinks by
+    uniform subsample. The quantile is ``np.quantile``'s linear one over all
+    m(m-1)/2 differences, found by exact selection in O(m) memory. A zero
+    quantile (heavy ties) escalates to the smallest strictly positive
+    distance, which is always a gap between neighbors of the sorted sample.
+    Above ``LARGE_N_THRESHOLD`` the radius shrinks by
     (n/threshold)^(-1/5) so dense samples keep local detail. A range that
     overflows the float range raises BadRange.
     """
@@ -100,7 +175,15 @@ def pareto_radius(values, cfg: PdeConfig = PdeConfig(), seed: int = 0) -> float:
         raise BadRange("the value range overflows the float range")
     cap = cfg.distance_sample_cap
     sample = np.sort(seeded_subsample(x, cap, seed) if n > cap else x)
-    r = float(np.quantile(_pairwise_diffs(sample), PARETO_QUANTILE, overwrite_input=True))
+    pairs = sample.size * (sample.size - 1) // 2
+    if pairs == 1:
+        r = float(sample[1] - sample[0])
+    else:  # np.quantile's default "linear" method over all pairwise differences
+        h = (pairs - 1) * PARETO_QUANTILE
+        k = math.floor(h)
+        g = h - k
+        a, b = _pair_diff_ranks(sample, k)
+        r = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
     if r <= 0.0:
         gaps = np.diff(sample)
         if not gaps.any():  # subsample happened to be constant; fall back to the full data

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from finestruct.cli import CsvError, main, read_csv_features
 from finestruct.stattests import _null_dips
 
 SVGNS = "{http://www.w3.org/2000/svg}"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write_normal_csv(path, n=300, cols=("a", "b"), seed=0):
@@ -88,6 +92,21 @@ class TestPlotCommand:
         manifest = json.loads((tmp_path / "out.manifest.json").read_text())
         assert manifest["dip_null"] == {"computed": 1, "reused": k - 1, "replicates": 60}
         assert manifest["timing"]["peak_rss_mb"] > 0
+
+    def test_manifest_peak_rss_excludes_spawning_process(self, tmp_path):
+        # getrusage's ru_maxrss survives exec: a child of a process holding
+        # 200 MB would report at least that much as its own peak
+        held_mb = 200
+        csv_path = _write_normal_csv(tmp_path / "in.csv")
+        held = bytearray(b"\x01") * (held_mb << 20)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        subprocess.run([sys.executable, "-m", "finestruct.cli", "plot", str(csv_path),
+                        "-o", str(tmp_path / "out.svg"), "--replicates", "20"],
+                       env=env, check=True, capture_output=True, timeout=120)
+        del held
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert 0 < manifest["timing"]["peak_rss_mb"] < held_mb
 
     def test_plot_and_test_agree_on_dip_p(self, tmp_path, capsys):
         csv_path = _write_normal_csv(tmp_path / "in.csv", n=400, cols=("a", "b", "c"))

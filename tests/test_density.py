@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,17 @@ from finestruct import (
     pareto_radius,
     pde_estimate,
 )
+from finestruct import density
 from finestruct.density import GRID_MAX, GRID_MIN
+
+_SELECTION_DATA = {
+    "gauss": lambda rng, n: rng.normal(size=n),
+    "lognormal-sd2": lambda rng, n: rng.lognormal(0.0, 2.0, size=n),
+    "uniform-clipped": lambda rng, n: np.clip(rng.uniform(-0.25, 1.25, size=n), 0.0, 1.0),
+    "8-levels": lambda rng, n: rng.integers(0, 8, size=n).astype(float),
+    "1e17-offset": lambda rng, n: 1e17 + 16.0 * rng.integers(0, 1000, size=n),
+    "half-zeros": lambda rng, n: np.where(rng.random(n) < 0.5, 0.0, rng.normal(size=n)),
+}
 
 
 class TestParetoRadius:
@@ -49,6 +61,58 @@ class TestParetoRadius:
         cfg = PdeConfig(distance_sample_cap=500)
         assert pareto_radius(x, cfg, seed=3) == pareto_radius(x, cfg, seed=3)
         assert pareto_radius(x, cfg, seed=3) != pareto_radius(x, cfg, seed=4)
+
+    @pytest.mark.parametrize("kind", list(_SELECTION_DATA))
+    @pytest.mark.parametrize("n", [1000, 5000, 12000])
+    def test_selection_matches_oracle_at_real_sizes(self, n, kind):
+        # 12000 points take the radius on the seeded 5000-point subsample
+        x = _SELECTION_DATA[kind](np.random.default_rng(n), n)
+        assert pareto_radius(x, seed=5) == pareto_radius_oracle(x, cap=5000, seed=5)
+
+    @pytest.mark.parametrize("kind", list(_SELECTION_DATA))
+    def test_selection_ranks_across_tie_blocks(self, kind, monkeypatch):
+        # a 16-difference band sample forces narrowing rounds at m = 150; the
+        # ranks checked include every pair (k, k + 1) that straddles two values
+        monkeypatch.setattr(density, "_BAND_SAMPLE", 16)
+        xs = np.sort(_SELECTION_DATA[kind](np.random.default_rng(7), 150))
+        i, j = np.triu_indices(xs.size, k=1)
+        diffs = np.sort(xs[j] - xs[i])
+        steps = np.flatnonzero(diffs[1:] != diffs[:-1])
+        for k in sorted({*steps[::max(steps.size // 60, 1)].tolist(), *range(0, diffs.size - 1, 211)}):
+            assert density._pair_diff_ranks(xs, k) == (diffs[k], diffs[k + 1])
+
+    def test_row_ends_on_rounded_sums(self):
+        # the searchsorted candidate xs + t rounds: for t = 1.0 it stops at
+        # 0.75, yet 0.75 + 2**-53 - (-0.25) rounds to 1.0; near 1e17 it
+        # rounds past differences above t
+        xs = np.sort([-1e17, -0.25, -0.0, 0.0, 0.75, 0.75 + 2**-53, 1.0, 2.0 - 2**-52,
+                      1e17, 1e17 + 16, 1e17 + 32, 1e17 + 64])
+        diffs = np.subtract.outer(xs, xs)  # diffs[j, i] = xs[j] - xs[i]
+        for d in np.unique(diffs[diffs >= 0]):
+            for t in (np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf)):
+                want = [i + 1 + int(np.sum(diffs[i + 1:, i] <= t)) for i in range(xs.size)]
+                assert density._row_ends(xs, float(t)).tolist() == want
+
+    def test_interpolation_at_half(self):
+        # m = 24 puts the quantile halfway between ranks 49 and 50 (0.3 and 1.4),
+        # where numpy's lerp takes b - (b - a)/2, which differs from a + (b - a)/2
+        x = [0.0, 0.0, 0.0, 0.1, 0.3, 0.3, 1.7, 1.7, 1.7, 1.9, 1.9, 1.9,
+             7.3, 7.3, 7.3, 7.3, 7.3, 11.1, 1000.7, 33000.0, 33000.0, 33000.0, 33000.0, 33000.0]
+        assert pareto_radius(x) == pareto_radius_oracle(x, cap=5000, seed=0)
+
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(1).normal(size=12000),
+        np.random.default_rng(2).integers(0, 8, size=5000).astype(float),
+    ], ids=["normal-12000", "8-levels-5000"])
+    def test_selection_memory(self, x):
+        # all 12.5 M pairwise differences at the cap would take 100 MB
+        tracemalloc.start()
+        try:
+            pareto_radius(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestPdeEstimate:

@@ -15,7 +15,7 @@ from finestruct import (
     nice_ticks,
     render_svg,
 )
-from finestruct.render import default_axis
+from finestruct.render import _Element, default_axis
 
 FAST = EngineConfig(replicates=200, seed=7)
 SVGNS = "{http://www.w3.org/2000/svg}"
@@ -126,6 +126,24 @@ class TestRenderSvg:
     def test_no_external_references(self):
         svg = render_svg(_model())
         assert "href" not in svg and "<script" not in svg
+
+
+def test_serializer_matches_elementtree():
+    # ElementTree is the reference: insertion-ordered attributes, " />" for an
+    # element without text or children, and its attribute and text escapes
+    specials = 'a&b<c>"d\'\r\n\te'
+    attrs = {"z": specials, "a": "1.00", "xmlns": "http://www.w3.org/2000/svg"}
+    ours = _Element("svg", dict(attrs))
+    ref = ET.Element("svg", dict(attrs))
+    for tag, text in (("text", specials), ("text", ""), ("g", "")):
+        ours.add(tag, {"k": text}, text)
+        child = ET.SubElement(ref, tag, {"k": text})
+        child.text = text
+    ours.children[-1].add("circle", {"r": "2"})
+    ET.SubElement(ref[-1], "circle", {"r": "2"})
+    out = []
+    ours.write(out)
+    assert "".join(out) == ET.tostring(ref, encoding="unicode")
 
 
 class TestGaussianOverlayPath:
