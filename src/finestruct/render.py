@@ -29,7 +29,6 @@ GLYPH_FILL = "#9aa0a6"
 GAUSSIAN_COLOR = "magenta"
 BOX_COLOR = "black"
 REFERENCE_LINE_COLOR = "red"
-_ATTR_SPECIAL = re.compile(r'[&<>"\r\n\t]')
 _NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
@@ -90,43 +89,12 @@ def _escape_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _escape_attr(value: str) -> str:
-    return (_escape_text(value).replace('"', "&quot;").replace("\r", "&#13;")
-            .replace("\n", "&#10;").replace("\t", "&#09;"))
-
-
-class _Element:
-    """One SVG element: a tag, attributes in insertion order, text and children.
-
-    ``write`` gives the bytes ``xml.etree.ElementTree.tostring`` gives for the
-    same tree: an element with neither text nor children closes as `` />``.
-    """
-
-    __slots__ = ("tag", "attrs", "text", "children")
-
-    def __init__(self, tag: str, attrs: dict, text: str = ""):
-        self.tag = tag
-        self.attrs = attrs
-        self.text = text
-        self.children = []
-
-    def add(self, tag: str, attrs: dict, text: str = "") -> "_Element":
-        child = _Element(tag, attrs, text)
-        self.children.append(child)
-        return child
-
-    def write(self, out: list) -> None:
-        attrs = self.attrs
-        if _ATTR_SPECIAL.search("".join(attrs.values())):
-            attrs = {k: _escape_attr(v) for k, v in attrs.items()}
-        out.append("<" + self.tag + "".join([f' {k}="{v}"' for k, v in attrs.items()]))
-        if not (self.text or self.children):
-            out.append(" />")
-            return
-        out.append(">" + _escape_text(self.text))
-        for child in self.children:
-            child.write(out)
-        out.append(f"</{self.tag}>")
+def _tag(out: list, tag: str, attrs: dict, text: str = "") -> None:
+    """Append one leaf element: attributes in insertion order, and `` />``
+    when there is no text. Every attribute value is a number or a constant
+    of this module, so only the text is escaped."""
+    head = "<" + tag + "".join([f' {k}="{v}"' for k, v in attrs.items()])
+    out.append(f"{head}>{_escape_text(text)}</{tag}>" if text else head + " />")
 
 
 def _svg_text(text: str) -> str:
@@ -173,44 +141,41 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
     colw = plot_w / k
     half = colw * COLUMN_WIDTH_FRACTION / 2.0
 
-    root = _Element("svg", {
-        "xmlns": SVG_NS,
-        "version": "1.1",
-        "width": str(WIDTH_PX),
-        "height": str(HEIGHT_PX),
-        "viewBox": f"0 0 {WIDTH_PX} {HEIGHT_PX}",
-    })
-    root.add("rect", {
+    out = ['<?xml version="1.0" encoding="UTF-8"?>\n'
+           f'<svg xmlns="{SVG_NS}" version="1.1" width="{WIDTH_PX}" height="{HEIGHT_PX}"'
+           f' viewBox="0 0 {WIDTH_PX} {HEIGHT_PX}">']
+    _tag(out, "rect", {
         "x": "0", "y": "0", "width": str(WIDTH_PX), "height": str(HEIGHT_PX),
         "fill": "white",
     })
     if model.title:
-        root.add("text", {
+        _tag(out, "text", {
             "x": _fmt(WIDTH_PX / 2.0), "y": _fmt(MARGIN_TOP * 0.6),
             "text-anchor": "middle", "font-family": "sans-serif", "font-size": "16",
         }, _svg_text(model.title))
 
     # y axis with ticks
-    axis_g = root.add("g", {"stroke": "black", "stroke-width": "1"})
-    axis_g.add("line", {
+    out.append('<g stroke="black" stroke-width="1">')
+    _tag(out, "line", {
         "x1": _fmt(MARGIN_LEFT), "y1": _fmt(MARGIN_TOP),
         "x2": _fmt(MARGIN_LEFT), "y2": _fmt(MARGIN_TOP + plot_h),
     })
     for tick in nice_ticks(model.y_range[0], model.y_range[1]):
         py = axis.to_px(tick)
-        axis_g.add("line", {
+        _tag(out, "line", {
             "x1": _fmt(MARGIN_LEFT - 5.0), "y1": _fmt(py),
             "x2": _fmt(MARGIN_LEFT), "y2": _fmt(py),
         })
-        axis_g.add("text", {
+        _tag(out, "text", {
             "x": _fmt(MARGIN_LEFT - 8.0), "y": _fmt(py + 4.0),
             "text-anchor": "end", "font-family": "sans-serif", "font-size": "11",
             "stroke": "none", "fill": "black",
         }, _tick_label(tick))
+    out.append("</g>")
 
     for i, glyph in enumerate(model.glyphs):
         cx = MARGIN_LEFT + (i + 0.5) * colw
-        g = root.add("g", {})
+        out.append("<g>")  # never empty: a glyph draws at least one element
         if glyph.kind == "density":
             curve = glyph.curve
             dmax = float(curve.densities.max())
@@ -218,7 +183,7 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
             ys = [axis.to_px(v) for v in curve.kernels]
             xs = [cx - wd for wd in widths] + [cx + wd for wd in reversed(widths)]
             pys = ys + list(reversed(ys))
-            g.add("polygon", {
+            _tag(out, "polygon", {
                 "points": _polygon_points(xs, pys),
                 "fill": GLYPH_FILL,
                 "stroke": "none",
@@ -228,17 +193,17 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
                 ow = gaussian_overlay_path(ov.mu, ov.sigma, curve.kernels, half / dmax)
                 for sign in (-1.0, 1.0):
                     pts = _polygon_points([cx + sign * wd for wd in ow], ys)
-                    g.add("polyline", {
+                    _tag(out, "polyline", {
                         "points": pts,
                         "fill": "none",
                         "stroke": GAUSSIAN_COLOR,
                         "stroke-width": "1.5",
                     })
             if glyph.box_overlay is not None:
-                _draw_box(g, glyph.box_overlay, cx, colw, axis)
+                _draw_box(out, glyph.box_overlay, cx, colw, axis)
         elif glyph.kind == "jitter":
             for value, off in zip(glyph.points, glyph.offsets):
-                g.add("circle", {
+                _tag(out, "circle", {
                     "cx": _fmt(cx + off * colw),
                     "cy": _fmt(axis.to_px(float(value))),
                     "r": "2",
@@ -247,12 +212,13 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
                 })
         else:  # dirac
             py = axis.to_px(glyph.dirac_value)
-            g.add("line", {
+            _tag(out, "line", {
                 "x1": _fmt(cx - half), "y1": _fmt(py),
                 "x2": _fmt(cx + half), "y2": _fmt(py),
                 "stroke": GLYPH_FILL, "stroke-width": "2.5",
             })
-        root.add("text", {
+        out.append("</g>")
+        _tag(out, "text", {
             "x": _fmt(cx), "y": _fmt(MARGIN_TOP + plot_h + 18.0),
             "text-anchor": "middle", "font-family": "sans-serif", "font-size": "11",
         }, _svg_text(glyph.feature))
@@ -261,38 +227,36 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
         py = axis.to_px(float(ref))
         if not math.isfinite(py):
             raise BadSpec(f"reference line {ref!r} has no finite pixel row")
-        root.add("line", {
+        _tag(out, "line", {
             "x1": _fmt(MARGIN_LEFT), "y1": _fmt(py),
             "x2": _fmt(MARGIN_LEFT + plot_w), "y2": _fmt(py),
             "stroke": REFERENCE_LINE_COLOR, "stroke-width": "1",
         })
-
-    out = ['<?xml version="1.0" encoding="UTF-8"?>\n']
-    root.write(out)
+    out.append("</svg>")
     return "".join(out)
 
 
-def _draw_box(g, box, cx: float, colw: float, axis: AxisTransform) -> None:
+def _draw_box(out: list, box, cx: float, colw: float, axis: AxisTransform) -> None:
     bw = 0.08 * colw
     y25 = axis.to_px(box.q25)
     y75 = axis.to_px(box.q75)
-    g.add("rect", {
+    _tag(out, "rect", {
         "x": _fmt(cx - bw), "y": _fmt(y75),
         "width": _fmt(2 * bw), "height": _fmt(y25 - y75),
         "fill": "none", "stroke": BOX_COLOR, "stroke-width": "1.2",
     })
-    g.add("line", {
+    _tag(out, "line", {
         "x1": _fmt(cx - bw), "y1": _fmt(axis.to_px(box.median)),
         "x2": _fmt(cx + bw), "y2": _fmt(axis.to_px(box.median)),
         "stroke": BOX_COLOR, "stroke-width": "1.8",
     })
     for q, wv in ((box.q25, box.whisker_low), (box.q75, box.whisker_high)):
-        g.add("line", {
+        _tag(out, "line", {
             "x1": _fmt(cx), "y1": _fmt(axis.to_px(q)),
             "x2": _fmt(cx), "y2": _fmt(axis.to_px(wv)),
             "stroke": BOX_COLOR, "stroke-width": "1.2",
         })
-        g.add("line", {
+        _tag(out, "line", {
             "x1": _fmt(cx - bw * 0.7), "y1": _fmt(axis.to_px(wv)),
             "x2": _fmt(cx + bw * 0.7), "y2": _fmt(axis.to_px(wv)),
             "stroke": BOX_COLOR, "stroke-width": "1.2",

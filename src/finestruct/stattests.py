@@ -181,9 +181,13 @@ def dip_statistic(values) -> float:
     return _dip_sorted(np.sort(x).tolist())
 
 
-@functools.lru_cache(maxsize=16)
+@functools.cache
 def _null_dips(n: int, b: int, seed: int) -> np.ndarray:
-    """Dips of B seeded uniform(0,1) samples of size n (the dip-test null)."""
+    """Dips of B seeded uniform(0,1) samples of size n (the dip-test null).
+
+    Every null of a process is kept (8·B bytes per key), so a run never
+    computes one twice, however many distinct n its columns have.
+    """
     out = np.empty(b)
     for i in range(b):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))

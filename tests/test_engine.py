@@ -293,6 +293,16 @@ class TestBuildPlotModel:
         assert [g.kind for g in model.glyphs] == ["density"] * 3
         assert all(g.report.seed == FAST.seed for g in model.glyphs)
 
+    def test_every_null_of_a_run_is_kept(self):
+        # 17 distinct sizes, then the first again: its null is still cached
+        sizes = list(range(100, 117)) + [100]
+        feats = [_normal(f"f{i}", n, 40 + i) for i, n in enumerate(sizes)]
+        _null_dips.cache_clear()
+        model = build_plot_model(feats, EngineConfig(replicates=20, seed=7))
+        info = _null_dips.cache_info()
+        assert (info.misses, info.hits) == (17, 1)
+        assert [g.kind for g in model.glyphs] == ["density"] * len(sizes)
+
     def test_equal_n_sibling_leaves_report_entry_unchanged(self):
         # below the cell budget nothing is subsampled, and the shared null
         # depends on (seed, n, B) only

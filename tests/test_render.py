@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import xml.etree.ElementTree as ET
 
@@ -15,7 +16,7 @@ from finestruct import (
     nice_ticks,
     render_svg,
 )
-from finestruct.render import _Element, default_axis
+from finestruct.render import _svg_text, default_axis
 
 FAST = EngineConfig(replicates=200, seed=7)
 SVGNS = "{http://www.w3.org/2000/svg}"
@@ -128,22 +129,33 @@ class TestRenderSvg:
         assert "href" not in svg and "<script" not in svg
 
 
-def test_serializer_matches_elementtree():
-    # ElementTree is the reference: insertion-ordered attributes, " />" for an
-    # element without text or children, and its attribute and text escapes
-    specials = 'a&b<c>"d\'\r\n\te'
-    attrs = {"z": specials, "a": "1.00", "xmlns": "http://www.w3.org/2000/svg"}
-    ours = _Element("svg", dict(attrs))
-    ref = ET.Element("svg", dict(attrs))
-    for tag, text in (("text", specials), ("text", ""), ("g", "")):
-        ours.add(tag, {"k": text}, text)
-        child = ET.SubElement(ref, tag, {"k": text})
-        child.text = text
-    ours.children[-1].add("circle", {"r": "2"})
-    ET.SubElement(ref[-1], "circle", {"r": "2"})
-    out = []
-    ours.write(out)
-    assert "".join(out) == ET.tostring(ref, encoding="unicode")
+def test_names_escaped_in_text_and_attributes_plain():
+    # title and column names come from outside the program and go into text
+    # content only; every attribute value is a number or a constant, so
+    # attributes need no escaper
+    specials = '&<>"\'\r\n\t\x01'
+    rng = np.random.default_rng(4)
+    feats = [
+        FeatureSeries("norm" + specials, rng.normal(size=600)),
+        FeatureSeries(specials + "few", rng.normal(size=30)),
+        FeatureSeries("c" + specials + "c", np.full(100, 1.5)),
+    ]
+    cfg = EngineConfig(replicates=200, seed=7, boxplot_overlay=True)
+    model = dataclasses.replace(build_plot_model(feats, cfg), title="T" + specials)
+    svg = render_svg(model, reference_lines=(0.5, -1.0))
+    root = ET.fromstring(svg)
+
+    def parsed(text):  # XML end-of-line handling turns \r\n and \r into \n
+        return _svg_text(text).replace("\r\n", "\n").replace("\r", "\n")
+
+    labels = [el.text for el in root.findall(f"{SVGNS}text")]
+    assert labels == [parsed(model.title)] + [parsed(g.feature) for g in model.glyphs]
+    attr_ok = re.compile(r"^[-0-9A-Za-z.,:/#() ]*$")
+    for el in root.iter():
+        for value in el.attrib.values():
+            assert attr_ok.match(value), value
+    assert {el.tag for el in root.iter()} >= {
+        f"{SVGNS}{t}" for t in ("polygon", "polyline", "circle", "rect", "line")}
 
 
 class TestGaussianOverlayPath:
