@@ -322,13 +322,16 @@ def _parse_mixture(text: str) -> GaussMixSpec:
 
 
 def _write_lines(args, lines: list[str], config: dict, t0: float) -> int:
-    """Write ``lines`` to ``--output`` with a manifest beside it, or to stdout."""
+    """Write ``lines`` to ``--output`` and a manifest to ``<output>.manifest.json``, or to stdout.
+
+    The manifest keeps the whole output name, so ``plot`` of the same stem,
+    whose manifest is ``<stem>.manifest.json``, does not replace it.
+    """
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _write_manifest(_stem(args.output, ".csv") + ".manifest.json", args.command, args.seed,
-                        config, t0)
+        _write_manifest(args.output + ".manifest.json", args.command, args.seed, config, t0)
     else:
         sys.stdout.write(text)
     return 0

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRange, ConstantFeature, TooFewPoints
-from .stats_core import seeded_subsample
+from .stats_core import finite_values, seeded_subsample
 
 PARETO_QUANTILE = 0.18  # of the pairwise distances; a neighborhood holds ~20% of the data
 LARGE_N_THRESHOLD = 1024  # above it the radius shrinks by (n/threshold)^(-1/5)
 GRID_MIN = 64
 GRID_MAX = 2048
 SPACING_DIVISOR = 4.0  # kernel spacing is radius / SPACING_DIVISOR
-_BAND_SAMPLE = 8192  # differences sampled per narrowing round of the radius selection
 
 
 @dataclass(frozen=True)
@@ -95,60 +94,47 @@ def _pairs_before(ends: np.ndarray) -> int:
     return int(ends.sum()) - ends.size * (ends.size + 1) // 2
 
 
-def _band(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Computed differences at ``pos`` in the row-major list of the pairs lo[i] <= j < hi[i]."""
+def _band(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Computed differences of the pairs lo[i] <= j < hi[i], in row-major order."""
     ends = np.cumsum(hi - lo)
-    rows = np.searchsorted(ends, pos, side="right")
-    return xs[pos + (hi - ends)[rows]] - xs[rows]
+    rows = np.repeat(np.arange(xs.size), hi - lo)
+    return xs[np.arange(ends[-1]) + (hi - ends)[rows]] - xs[rows]
 
 
 def _pair_diff_ranks(xs: np.ndarray, k: int) -> tuple[float, float]:
     """Ranks ``k`` and ``k + 1`` (0-based) of the computed pairwise differences of sorted ``xs``.
 
     Needs k + 2 <= m(m-1)/2 for m = xs.size, and holds O(m) memory. The
-    bracket (t_lo, t_hi] contains both ranks; ``lo`` and ``hi`` are its row
-    ends, ``c_lo`` and ``c_hi`` the pairs at or below each bound. Each round
-    sorts a strided sample of the band's differences and probes a value below
-    and one above the ranks' expected place in it. A probed difference v
-    either lies outside [rank k, rank k + 1], and the bound moves past every
-    pair equal to v, or settles both ranks from the pairs below and at v.
-    Heavy ties therefore end in a probe, never in a band of tied pairs. When
-    the band holds O(m) pairs it is extracted and partitioned.
+    differences are non-negative floats, which order as their int64 bit
+    patterns, so the bracket (t_lo, t_hi] of both ranks is bisected on
+    those bits: ``lo`` and ``hi`` are its row ends, ``c_lo`` and ``c_hi``
+    the pairs at or below each bound. Each round halves the bits between
+    the bounds, so it ends within 64 counts. A midpoint with exactly k + 1
+    pairs at or below it settles both ranks; a bracket one float wide holds
+    only pairs equal to t_hi; a band of at most 4m pairs is extracted and
+    partitioned.
     """
     m = xs.size
     first = np.arange(1, m + 1)
     lo, hi = first, np.full(m, m)
     c_lo, c_hi = 0, m * (m - 1) // 2
-    t_lo, t_hi = -math.inf, math.inf
-    while c_hi - c_lo > 4 * m + _BAND_SAMPLE:
-        band = c_hi - c_lo
-        sample = np.sort(_band(xs, lo, hi, np.arange(_BAND_SAMPLE) * band // _BAND_SAMPLE))
-        frac = (k + 1 - c_lo) / band
-        spread = 3.0 * math.sqrt(_BAND_SAMPLE * frac * (1.0 - frac)) + 1.0
-        picks = (max(int(frac * _BAND_SAMPLE - spread), 0),
-                 min(int(frac * _BAND_SAMPLE + spread), _BAND_SAMPLE - 1))
-        for v in (float(sample[i]) for i in picks):
-            if not t_lo < v <= t_hi:
-                continue
-            at = _row_ends(xs, v)
-            c_at = _pairs_before(at)
-            if c_at <= k:
-                lo, c_lo, t_lo = at, c_at, v
-                continue
-            prev = float(np.nextafter(v, -math.inf))
-            below = _row_ends(xs, prev)
-            c_below = _pairs_before(below)
-            if c_below >= k + 2:
-                hi, c_hi, t_hi = below, c_below, prev
-            elif c_below == k + 1:  # rank k is the largest difference below v
-                rows = np.flatnonzero(below > first)
-                return float((xs[below[rows] - 1] - xs[rows]).max()), v
-            elif c_at == k + 1:  # rank k + 1 is the smallest difference above v
-                rows = np.flatnonzero(at < m)
-                return v, float((xs[at[rows]] - xs[rows]).min())
-            else:
-                return v, v
-    vals = _band(xs, lo, hi, np.arange(c_hi - c_lo))
+    b_lo, b_hi = -1, int(np.float64(abs(xs[-1] - xs[0])).view(np.int64))  # abs maps -0.0 to 0.0
+    while c_hi - c_lo > 4 * m:
+        if b_hi - b_lo == 1:
+            t = float(np.int64(b_hi).view(np.float64))
+            return t, t
+        b = (b_lo + b_hi) // 2
+        at = _row_ends(xs, float(np.int64(b).view(np.float64)))
+        c = _pairs_before(at)
+        if c <= k:
+            lo, c_lo, b_lo = at, c, b
+        elif c >= k + 2:
+            hi, c_hi, b_hi = at, c, b
+        else:  # c == k + 1: rank k lies at or below the midpoint, rank k + 1 above it
+            below, above = np.flatnonzero(at > first), np.flatnonzero(at < m)
+            return (float((xs[at[below] - 1] - xs[below]).max()),
+                    float((xs[at[above]] - xs[above]).min()))
+    vals = _band(xs, lo, hi)
     vals.partition([k - c_lo, k + 1 - c_lo])
     return float(vals[k - c_lo]), float(vals[k + 1 - c_lo])
 
@@ -163,9 +149,9 @@ def pareto_radius(values, cfg: PdeConfig = PdeConfig(), seed: int = 0) -> float:
     distance, which is always a gap between neighbors of the sorted sample.
     Above ``LARGE_N_THRESHOLD`` the radius shrinks by
     (n/threshold)^(-1/5) so dense samples keep local detail. A range that
-    overflows the float range raises BadRange.
+    overflows the float range raises BadRange, a NaN or inf value BadSpec.
     """
-    x = np.asarray(values, dtype=float).ravel()
+    x = finite_values(values)
     n = x.size
     if n < 2:
         raise TooFewPoints("pareto_radius needs at least 2 values")

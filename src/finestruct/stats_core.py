@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BadRange, ConstantFeature, DegenerateSpread, EmptyFeature
+from .errors import BadRange, BadSpec, ConstantFeature, DegenerateSpread, EmptyFeature
 
 # normal-consistent IQR-to-sigma calibration: IQR of N(0,1) is ~1.349
 IQR_TO_SIGMA = 1.349
@@ -50,6 +50,14 @@ class FeatureSeries:
 
     def with_values(self, values) -> "FeatureSeries":
         return FeatureSeries(self.name, values, self.missing_count)
+
+
+def finite_values(values) -> np.ndarray:
+    """``values`` as a flat float array; BadSpec if any is NaN or infinite."""
+    x = np.asarray(values, dtype=float).ravel()
+    if not np.all(np.isfinite(x)):
+        raise BadSpec("values must be finite")
+    return x
 
 
 def seeded_subsample(values: np.ndarray, size: int, seed: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BadSpec, ConstantFeature, TooFewPoints
-from .stats_core import FeatureSeries, moments
+from .stats_core import FeatureSeries, finite_values, moments
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 SKEW_UNDEFINED = "skewness undefined for a constant sample"
@@ -174,8 +174,8 @@ def _dip_sorted(x: list) -> float:
 
 
 def dip_statistic(values) -> float:
-    """Hartigan-Hartigan dip of a sample; larger means less unimodal."""
-    x = np.asarray(values, dtype=float).ravel()
+    """Hartigan-Hartigan dip of a finite sample; larger means less unimodal."""
+    x = finite_values(values)
     if x.size < 2:
         raise TooFewPoints("dip_statistic needs at least 2 values")
     return _dip_sorted(np.sort(x).tolist())
@@ -205,8 +205,8 @@ def dip_pvalue_mc(d: float, n: int, B: int, seed: int = 0) -> float:
     draws from its own (seed, b) stream, so results are reproducible and
     monotone in d for a fixed seed.
     """
-    if d <= 0:
-        raise ValueError("d must be positive")
+    if not 0 < d < math.inf:
+        raise ValueError("d must be positive and finite")
     if n < 2:
         raise TooFewPoints("dip p-value needs n >= 2")
     if B < 1:
@@ -222,9 +222,9 @@ def dagostino_skewness(values) -> tuple[float, float, float]:
     g1 = m3/m2^1.5 (``stats_core.moments``, summed in the given order) is
     transformed to an approximately N(0,1) statistic via the Johnson S_U fit
     to its null distribution; needs n >= 9. Raises ConstantFeature when g1 is
-    undefined.
+    undefined, BadSpec when a value is NaN or infinite.
     """
-    x = np.asarray(values, dtype=float).ravel()
+    x = finite_values(values)
     n = x.size
     if n < 9:
         raise TooFewPoints(f"skewness test needs n >= 9, got {n}")

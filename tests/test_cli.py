@@ -365,6 +365,13 @@ class TestGenCommand:
             main(["gen", "uniform", "0", "1", "--n", "200", "--seed", "8", "-o", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_gen_and_plot_of_one_stem_keep_both_manifests(self, tmp_path):
+        assert main(["gen", "uniform", "0", "1", "--n", "100", "-o", str(tmp_path / "g.csv")]) == 0
+        assert main(["plot", str(tmp_path / "g.csv"), "-o", str(tmp_path / "g.svg"),
+                     "--replicates", "20"]) == 0
+        for name, command in (("g.csv.manifest.json", "gen"), ("g.manifest.json", "plot")):
+            assert json.loads((tmp_path / name).read_text())["command"] == command
+
     def test_bad_params_exit_2(self, capsys):
         assert main(["gen", "uniform", "2", "-2", "--n", "10"]) == 2
         assert main(["gen", "skewnorm", "-1", "--n", "10"]) == 2

@@ -23,6 +23,11 @@ _SELECTION_DATA = {
     "1e17-offset": lambda rng, n: 1e17 + 16.0 * rng.integers(0, 1000, size=n),
     "half-zeros": lambda rng, n: np.where(rng.random(n) < 0.5, 0.0, rng.normal(size=n)),
 }
+# differences across the whole exponent range; the n = 12 000 oracle would hold all pairs
+_RANK_DATA = {
+    **_SELECTION_DATA,
+    "wide-range": lambda rng, n: rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-300, 300, n),
+}
 
 
 class TestParetoRadius:
@@ -69,17 +74,29 @@ class TestParetoRadius:
         x = _SELECTION_DATA[kind](np.random.default_rng(n), n)
         assert pareto_radius(x, seed=5) == pareto_radius_oracle(x, cap=5000, seed=5)
 
-    @pytest.mark.parametrize("kind", list(_SELECTION_DATA))
-    def test_selection_ranks_across_tie_blocks(self, kind, monkeypatch):
-        # a 16-difference band sample forces narrowing rounds at m = 150; the
-        # ranks checked include every pair (k, k + 1) that straddles two values
-        monkeypatch.setattr(density, "_BAND_SAMPLE", 16)
-        xs = np.sort(_SELECTION_DATA[kind](np.random.default_rng(7), 150))
+    @pytest.mark.parametrize("kind", list(_RANK_DATA))
+    def test_selection_ranks_across_tie_blocks(self, kind):
+        # 11 175 pairs at m = 150 exceed the 4m band, so bisection rounds run;
+        # the ranks checked include every pair (k, k + 1) that straddles two values
+        xs = np.sort(_RANK_DATA[kind](np.random.default_rng(7), 150))
         i, j = np.triu_indices(xs.size, k=1)
         diffs = np.sort(xs[j] - xs[i])
         steps = np.flatnonzero(diffs[1:] != diffs[:-1])
         for k in sorted({*steps[::max(steps.size // 60, 1)].tolist(), *range(0, diffs.size - 1, 211)}):
             assert density._pair_diff_ranks(xs, k) == (diffs[k], diffs[k + 1])
+
+    @pytest.mark.parametrize("kind, m", [*((kind, 150) for kind in _RANK_DATA), ("gauss", 12000)])
+    def test_selection_counts_at_most_64_times(self, kind, m, monkeypatch):
+        # each round halves the bits between the bracket's bounds
+        calls = []
+        row_ends = density._row_ends
+        monkeypatch.setattr(density, "_row_ends", lambda xs, t: calls.append(t) or row_ends(xs, t))
+        xs = np.sort(_RANK_DATA[kind](np.random.default_rng(m), m))
+        pairs = m * (m - 1) // 2
+        for k in (0, int((pairs - 1) * density.PARETO_QUANTILE), pairs // 2, pairs - 2):
+            calls.clear()
+            density._pair_diff_ranks(xs, k)
+            assert len(calls) <= 64
 
     def test_row_ends_on_rounded_sums(self):
         # the searchsorted candidate xs + t rounds: for t = 1.0 it stops at

@@ -14,8 +14,22 @@ from finestruct import (
     dip_pvalue_mc,
     dip_statistic,
     feature_report,
+    pareto_radius,
 )
 from finestruct.stattests import _dip_sorted
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: dip_pvalue_mc(v, 20, 5),
+    lambda v: dip_statistic([1.0, v, 2.0, 0.5]),
+    lambda v: dagostino_skewness([*range(9), v]),
+    lambda v: pareto_radius([0.0, 1.0, v]),
+], ids=["dip_pvalue_mc", "dip_statistic", "dagostino_skewness", "pareto_radius"])
+def test_non_finite_input_rejected(call, bad):
+    # unchecked, a NaN dip gets p = 1/(B + 1), the strongest rejection of unimodality
+    with pytest.raises(ValueError, match="finite"):
+        call(bad)
 
 
 class TestDipStatistic:
