@@ -35,8 +35,8 @@ from .generators import (
 from .render import render_svg
 from .stats_core import FeatureSeries, ScalingMode, quantile
 from .stattests import (
-    SKEW_UNDEFINED, _null_dips, dagostino_skewness, dip_pvalue_mc, dip_statistic,
-    feature_report,
+    SKEW_UNDEFINED, _null_dips, _null_workers, dagostino_skewness, dip_pvalue_mc,
+    dip_statistic, feature_report,
 )
 
 class CsvError(FineStructError):
@@ -234,11 +234,12 @@ def cmd_plot(args) -> int:
         replicates=args.replicates,
         seed=args.seed,
     )
-    before = _null_dips.cache_info()
+    before, split_from = _null_dips.cache_info(), len(_null_workers)
     model = build_plot_model(features, cfg)
     after = _null_dips.cache_info()
     dip_null = {"computed": after.misses - before.misses, "reused": after.hits - before.hits,
-                "replicates": args.replicates}
+                "replicates": args.replicates,
+                "workers": max(_null_workers[split_from:], default=1)}
     if args.title:
         model = dataclasses.replace(model, title=args.title)
     svg = render_svg(model, args.hline)

@@ -101,6 +101,23 @@ def _band(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return xs[np.arange(ends[-1]) + (hi - ends)[rows]] - xs[rows]
 
 
+def _bits(d) -> int:
+    """Int64 bit pattern of a non-negative difference; abs maps -0.0 to 0.0."""
+    return int(np.float64(abs(d)).view(np.int64))
+
+
+def _max_at_or_below(xs: np.ndarray, ends: np.ndarray):
+    """Largest computed difference at or below the threshold whose row ends are ``ends``."""
+    below = np.flatnonzero(ends > np.arange(1, xs.size + 1))
+    return (xs[ends[below] - 1] - xs[below]).max()
+
+
+def _min_above(xs: np.ndarray, ends: np.ndarray):
+    """Smallest computed difference above the threshold whose row ends are ``ends``."""
+    above = np.flatnonzero(ends < xs.size)
+    return (xs[ends[above]] - xs[above]).min()
+
+
 def _pair_diff_ranks(xs: np.ndarray, k: int) -> tuple[float, float]:
     """Ranks ``k`` and ``k + 1`` (0-based) of the computed pairwise differences of sorted ``xs``.
 
@@ -108,17 +125,19 @@ def _pair_diff_ranks(xs: np.ndarray, k: int) -> tuple[float, float]:
     differences are non-negative floats, which order as their int64 bit
     patterns, so the bracket (t_lo, t_hi] of both ranks is bisected on
     those bits: ``lo`` and ``hi`` are its row ends, ``c_lo`` and ``c_hi``
-    the pairs at or below each bound. Each round halves the bits between
-    the bounds, so it ends within 64 counts. A midpoint with exactly k + 1
-    pairs at or below it settles both ranks; a bracket one float wide holds
-    only pairs equal to t_hi; a band of at most 4m pairs is extracted and
-    partitioned.
+    the pairs at or below each bound. Each round moves one bound to the
+    midpoint and snaps it to the computed differences on its side of it,
+    which leaves the pairs at or below it the same, so a block of tied
+    differences ends in a few counts. Each round at least halves the bits
+    between the bounds, so it ends within 64 counts. A midpoint with
+    exactly k + 1 pairs at or below it settles both ranks; a bracket one
+    float wide holds only pairs equal to t_hi; a band of at most 4m pairs
+    is extracted and partitioned.
     """
     m = xs.size
-    first = np.arange(1, m + 1)
-    lo, hi = first, np.full(m, m)
+    lo, hi = np.arange(1, m + 1), np.full(m, m)
     c_lo, c_hi = 0, m * (m - 1) // 2
-    b_lo, b_hi = -1, int(np.float64(abs(xs[-1] - xs[0])).view(np.int64))  # abs maps -0.0 to 0.0
+    b_lo, b_hi = -1, _bits(xs[-1] - xs[0])
     while c_hi - c_lo > 4 * m:
         if b_hi - b_lo == 1:
             t = float(np.int64(b_hi).view(np.float64))
@@ -127,13 +146,11 @@ def _pair_diff_ranks(xs: np.ndarray, k: int) -> tuple[float, float]:
         at = _row_ends(xs, float(np.int64(b).view(np.float64)))
         c = _pairs_before(at)
         if c <= k:
-            lo, c_lo, b_lo = at, c, b
+            lo, c_lo, b_lo = at, c, _bits(_min_above(xs, at)) - 1
         elif c >= k + 2:
-            hi, c_hi, b_hi = at, c, b
+            hi, c_hi, b_hi = at, c, _bits(_max_at_or_below(xs, at))
         else:  # c == k + 1: rank k lies at or below the midpoint, rank k + 1 above it
-            below, above = np.flatnonzero(at > first), np.flatnonzero(at < m)
-            return (float((xs[at[below] - 1] - xs[below]).max()),
-                    float((xs[at[above]] - xs[above]).min()))
+            return float(_max_at_or_below(xs, at)), float(_min_above(xs, at))
     vals = _band(xs, lo, hi)
     vals.partition([k - c_lo, k + 1 - c_lo])
     return float(vals[k - c_lo]), float(vals[k + 1 - c_lo])

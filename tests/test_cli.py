@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from finestruct.cli import CsvError, main, read_csv_features
+from finestruct import stattests
 from finestruct.stattests import _null_dips
 
 SVGNS = "{http://www.w3.org/2000/svg}"
@@ -79,19 +80,24 @@ class TestPlotCommand:
         assert manifest["seed"] == 3
         assert manifest["timing"]["total_s"] >= 0
 
-    def test_manifest_dip_null_counts(self, tmp_path):
-        # equal-n density columns beside a constant one, as in a wide table
+    def test_manifest_dip_null_counts(self, tmp_path, monkeypatch):
+        # equal-n density columns beside a constant one, as in a wide table;
+        # with no points floor the one null is split across the usable CPUs
         k = 4
         csv_path = _write_normal_csv(tmp_path / "in.csv", n=200, cols=[f"c{i}" for i in range(k)])
         lines = csv_path.read_text().splitlines()
         csv_path.write_text("\n".join([lines[0] + ",const"] + [r + ",5" for r in lines[1:]]) + "\n")
-        _null_dips.cache_clear()
-        rc = main(["plot", str(csv_path), "-o", str(tmp_path / "out.svg"),
-                   "--replicates", "60", "--seed", "3"])
-        assert rc == 0
-        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
-        assert manifest["dip_null"] == {"computed": 1, "reused": k - 1, "replicates": 60}
-        assert manifest["timing"]["peak_rss_mb"] > 0
+        monkeypatch.setattr(stattests, "_MIN_SPLIT_POINTS", 1)
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            _null_dips.cache_clear()
+            rc = main(["plot", str(csv_path), "-o", str(tmp_path / "out.svg"),
+                       "--replicates", "60", "--seed", "3"])
+            assert rc == 0
+            manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+            assert manifest["dip_null"] == {"computed": 1, "reused": k - 1, "replicates": 60,
+                                            "workers": cpus}
+            assert manifest["timing"]["peak_rss_mb"] > 0
 
     def test_manifest_peak_rss_excludes_spawning_process(self, tmp_path):
         # getrusage's ru_maxrss survives exec: a child of a process holding

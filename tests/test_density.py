@@ -27,6 +27,7 @@ _SELECTION_DATA = {
 _RANK_DATA = {
     **_SELECTION_DATA,
     "wide-range": lambda rng, n: rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-300, 300, n),
+    "20-levels": lambda rng, n: rng.integers(0, 20, size=n).astype(float),
 }
 
 
@@ -85,10 +86,10 @@ class TestParetoRadius:
         for k in sorted({*steps[::max(steps.size // 60, 1)].tolist(), *range(0, diffs.size - 1, 211)}):
             assert density._pair_diff_ranks(xs, k) == (diffs[k], diffs[k + 1])
 
-    @pytest.mark.parametrize("kind, m", [*((kind, 150) for kind in _RANK_DATA), ("gauss", 12000)])
-    def test_selection_counts_at_most_64_times(self, kind, m, monkeypatch):
-        # each round halves the bits between the bracket's bounds
-        calls = []
+    @staticmethod
+    def _most_counts(kind, m, monkeypatch):
+        """Most ``_row_ends`` counts one rank pair takes, over four ranks."""
+        calls, most = [], 0
         row_ends = density._row_ends
         monkeypatch.setattr(density, "_row_ends", lambda xs, t: calls.append(t) or row_ends(xs, t))
         xs = np.sort(_RANK_DATA[kind](np.random.default_rng(m), m))
@@ -96,7 +97,20 @@ class TestParetoRadius:
         for k in (0, int((pairs - 1) * density.PARETO_QUANTILE), pairs // 2, pairs - 2):
             calls.clear()
             density._pair_diff_ranks(xs, k)
-            assert len(calls) <= 64
+            most = max(most, len(calls))
+        return most
+
+    @pytest.mark.parametrize("kind, m", [*((kind, 150) for kind in _RANK_DATA), ("gauss", 12000)])
+    def test_selection_counts_at_most_64_times(self, kind, m, monkeypatch):
+        # each round halves the bits between the bracket's bounds
+        assert self._most_counts(kind, m, monkeypatch) <= 64
+
+    @pytest.mark.parametrize("kind", ["8-levels", "20-levels"])
+    @pytest.mark.parametrize("m", [150, 5000])
+    def test_selection_ends_tie_blocks_in_few_counts(self, kind, m, monkeypatch):
+        # each bound snaps to the computed differences, so a block of tied
+        # differences ends the search instead of being bisected down to one float
+        assert self._most_counts(kind, m, monkeypatch) <= 8
 
     def test_row_ends_on_rounded_sums(self):
         # the searchsorted candidate xs + t rounds: for t = 1.0 it stops at

@@ -1,3 +1,8 @@
+import errno
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -16,6 +21,8 @@ from finestruct import (
     feature_report,
     pareto_radius,
 )
+from finestruct import stattests
+from finestruct.cli import main
 from finestruct.stattests import _dip_sorted
 
 
@@ -127,6 +134,119 @@ class TestDipStatistic:
 
     def test_constant_floor(self):
         assert dip_statistic([4.0] * 10) == 0.05
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Force the next nulls onto k usable CPUs with no points floor, from an empty cache."""
+    def force(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        monkeypatch.setattr(stattests, "_MIN_SPLIT_POINTS", 1)
+        stattests._null_dips.cache_clear()
+    yield force
+    stattests._null_dips.cache_clear()
+
+
+_SERIAL = {}
+
+
+class TestNullSplit:
+    @pytest.mark.parametrize("n, b", [(50, 2), (50, 7), (2, 30), (500, 2000)],
+                             ids=["b-below-k", "b-not-divisible", "n-2", "n-500"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_same_bytes_for_any_worker_count(self, workers, k, n, b):
+        if (n, b) not in _SERIAL:
+            _SERIAL[n, b] = stattests._null_range(n, 0, b, 11).tobytes()
+        workers(k)
+        assert stattests._null_dips(n, b, 11).tobytes() == _SERIAL[n, b]
+        assert stattests._null_workers[-1] == min(k, b)
+        _assert_no_child()
+
+    def test_points_floor_keeps_small_nulls_whole(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        stattests._null_dips.cache_clear()
+        b = stattests._MIN_SPLIT_POINTS // 100
+        stattests._null_dips(100, b - 1, 2)
+        assert stattests._null_workers[-1] == 1
+        stattests._null_dips(100, 2 * b, 2)
+        assert stattests._null_workers[-1] == 2
+        stattests._null_dips.cache_clear()
+
+    def test_no_split_beside_other_threads(self, workers):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            workers(2)
+            stattests._null_dips(50, 8, 1)
+            assert stattests._null_workers[-1] == 1
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_fork_failure_computes_in_process(self, workers, monkeypatch, tmp_path, capsys, call):
+        rng = np.random.default_rng(3)
+        csv_path = tmp_path / "u.csv"
+        csv_path.write_text("u\n" + "\n".join(repr(float(v)) for v in rng.random(200)) + "\n")
+        args = ["test", str(csv_path), "u", "--replicates", "90", "--seed", "4", "--json"]
+        workers(2)
+        want = stattests._null_dips(200, 90, 4).tobytes()
+        assert main(args) == 0
+        out = capsys.readouterr().out
+
+        def unavailable(*args):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, call, unavailable)
+        workers(2)
+        assert stattests._null_dips(200, 90, 4).tobytes() == want
+        assert stattests._null_workers[-1] == 1
+        stattests._null_dips.cache_clear()
+        assert main(args) == 0
+        assert capsys.readouterr().out == out
+        _assert_no_child()
+
+    @pytest.mark.parametrize("failure", ["raises", "short"])
+    def test_failed_child_range_computed_in_process(self, workers, monkeypatch, failure):
+        want = stattests._null_range(300, 0, 90, 5).tobytes()
+        null_range = stattests._null_range
+        parent = os.getpid()
+
+        def child_fails(n, lo, hi, seed):
+            if os.getpid() == parent:
+                return null_range(n, lo, hi, seed)
+            if failure == "raises":
+                raise RuntimeError("child fails")
+            return null_range(n, lo, hi - 1, seed)  # exits 0 with too few bytes
+
+        monkeypatch.setattr(stattests, "_null_range", child_fails)
+        workers(3)
+        assert stattests._null_dips(300, 90, 5).tobytes() == want
+        assert stattests._null_workers[-1] == 1
+        _assert_no_child()
+
+    def test_parent_failure_kills_children(self, workers, monkeypatch):
+        parent = os.getpid()
+
+        def parent_fails(n, lo, hi, seed):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(stattests, "_null_range", parent_fails)
+        workers(3)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            stattests._null_dips(300, 90, 5)
+        assert time.perf_counter() - t0 < 30
+        _assert_no_child()
 
 
 class TestDipPvalue:
