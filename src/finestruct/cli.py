@@ -33,7 +33,7 @@ from .generators import (
     sample_uniform,
 )
 from .render import render_svg
-from .stats_core import FeatureSeries, ScalingMode, quantile
+from .stats_core import FeatureSeries, ScalingMode, check_count, quantile
 from .stattests import (
     SKEW_UNDEFINED, _null_dips, _null_workers, dagostino_skewness, dip_pvalue_mc,
     dip_statistic, feature_report,
@@ -386,8 +386,7 @@ def cmd_bench(args) -> int:
         raise BadSpec("empty sweep")
     if args.iterations < 1:
         raise BadSpec("iterations must be at least 1")
-    if args.replicates < 1:
-        raise BadSpec("replicates must be at least 1")
+    check_count("replicates", args.replicates)
     if args.experiment == "skew" and any(v <= 0 for v in sweep):
         raise BadSpec("skew sweep values must be positive")
     rows, summaries = run_bench(args.experiment, sweep, args.iterations,

@@ -26,6 +26,7 @@ from .stats_core import (
     DescriptiveStats,
     FeatureSeries,
     ScalingMode,
+    check_count,
     describe,
     robust_gaussian_fit,
     seeded_subsample,
@@ -74,8 +75,7 @@ class EngineConfig:
             raise BadSpec("sample_size_cap must be at least min_data")
         if not 0.0 < self.alpha < 1.0:
             raise BadSpec("alpha must be in (0, 1)")
-        if self.replicates < 1:
-            raise BadSpec("replicates must be at least 1")
+        check_count("replicates", self.replicates)
 
 
 @dataclass(frozen=True)

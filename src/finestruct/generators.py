@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRange, BadSpec
-from .stats_core import FeatureSeries
+from .stats_core import FeatureSeries, check_count
 
 _HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)  # E|Z| for Z ~ N(0,1)
 
@@ -58,8 +58,7 @@ def skew_normal_moments(xi: float) -> tuple[float, float]:
 
 def sample_uniform(n: int, low: float, high: float, seed: int = 0) -> FeatureSeries:
     """n i.i.d. uniforms on [low, high)."""
-    if n < 1:
-        raise BadSpec("n must be at least 1")
+    check_count("n", n)
     if low >= high:
         raise BadRange(f"need low < high, got [{low}, {high}]")
     if not math.isfinite(high - low):
@@ -70,8 +69,7 @@ def sample_uniform(n: int, low: float, high: float, seed: int = 0) -> FeatureSer
 
 def sample_gauss_mixture(n: int, spec: GaussMixSpec, seed: int = 0) -> FeatureSeries:
     """Gaussian mixture draw: pick a component by weight, then sample it."""
-    if n < 1:
-        raise BadSpec("n must be at least 1")
+    check_count("n", n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     w = np.array([c[0] for c in spec.components])
     means = np.array([c[1] for c in spec.components])
@@ -91,8 +89,7 @@ def sample_skew_normal(n: int, spec: SkewSpec, seed: int = 0) -> FeatureSeries:
     The draw is standardized to mean 0 and variance 1 with the analytic
     moments, so xi is the only moving part.
     """
-    if n < 1:
-        raise BadSpec("n must be at least 1")
+    check_count("n", n)
     xi = spec.xi
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     mag = np.abs(rng.normal(size=n))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -16,6 +17,8 @@ from .errors import BadRange, BadSpec, ConstantFeature, DegenerateSpread, EmptyF
 
 # normal-consistent IQR-to-sigma calibration: IQR of N(0,1) is ~1.349
 IQR_TO_SIGMA = 1.349
+# the most float64 values one array can address: 8 bytes each within sys.maxsize
+MAX_COUNT = sys.maxsize // 8
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,14 @@ class FeatureSeries:
 
     def with_values(self, values) -> "FeatureSeries":
         return FeatureSeries(self.name, values, self.missing_count)
+
+
+def check_count(name: str, count: int) -> None:
+    """BadSpec unless 1 <= count <= MAX_COUNT, a count of float64 values to draw."""
+    if count < 1:
+        raise BadSpec(f"{name} must be at least 1")
+    if count > MAX_COUNT:
+        raise BadSpec(f"{name} must be at most {MAX_COUNT} (8 bytes per value)")
 
 
 def finite_values(values) -> np.ndarray:

@@ -7,7 +7,8 @@ runs in pure Python on lists of floats; numpy is the only dependency. Its
 p-value comes from seeded Monte Carlo against the uniform null, which depends
 only on (seed, n, B) (Hartigan & Hartigan 1985): ``_null_dips`` caches it on
 that key, so every sample of equal n tested at one seed and B reuses one null,
-and splits it across the usable CPUs with ``fork`` without changing a byte.
+and splits it across the usable CPUs with ``fork`` without changing a byte:
+each forked worker writes its replicates into one anonymous shared mapping.
 ``feature_report`` records that seed in ``TestReport.seed``. Skewness uses
 the classic transformation of g1 to an approximately standard-normal z.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
 import signal
 import threading
@@ -22,8 +24,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BadSpec, ConstantFeature, TooFewPoints
-from .stats_core import FeatureSeries, finite_values, moments
+from .errors import ConstantFeature, TooFewPoints
+from .stats_core import FeatureSeries, check_count, finite_values, moments
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 SKEW_UNDEFINED = "skewness undefined for a constant sample"
@@ -211,28 +213,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_range(n: int, lo: int, hi: int, seed: int) -> tuple[int, int]:
-    """Fork a child that writes replicates [lo, hi) to a pipe; returns (pid, read end)."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:  # the child never returns: no atexit hook, no inherited buffer flushed
-        code = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(_null_range(n, lo, hi, seed).tobytes())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
 @functools.cache
 def _null_dips(n: int, b: int, seed: int) -> np.ndarray:
     """Dips of B seeded uniform(0,1) samples of size n (the dip-test null).
@@ -241,49 +221,60 @@ def _null_dips(n: int, b: int, seed: int) -> np.ndarray:
     computes one twice, however many distinct n its columns have. The
     replicates are split into k contiguous ranges, one per usable CPU with
     at least ``_MIN_SPLIT_POINTS`` points each; the parent computes the
-    first and a forked child each other one. Replicate i depends only on
-    (seed, i), so the bytes are the same for every k. A range whose pipe or
-    fork fails, or whose child fails, is computed in the parent, and a
-    process without ``fork`` or running other threads uses k = 1.
+    first and a forked child each other one, writing into its slice of an
+    anonymous mapping that fork shares. Replicate i depends only on
+    (seed, i), so the bytes are the same for every k. A child that does not
+    exit 0, or a fork or mapping that fails, leaves its range to the parent,
+    and a process without ``fork`` or running other threads uses k = 1.
     """
     k = 1
     if hasattr(os, "fork") and threading.active_count() == 1:  # fork is unsafe beside threads
         k = max(1, min(_usable_cpus(), b, n * b // _MIN_SPLIT_POINTS))
-    bounds = [b * j // k for j in range(k + 1)]
     out = np.empty(b)
-    children = []  # (range index, pid, read end)
-    reaped = set()
+    if k > 1:
+        try:
+            out = np.frombuffer(mmap.mmap(-1, 8 * b))
+        except OSError:
+            k = 1
+    bounds = [b * j // k for j in range(k + 1)]
+
+    def fill(j):
+        out[bounds[j]:bounds[j + 1]] = _null_range(n, bounds[j], bounds[j + 1], seed)
+
+    children = []  # (range index, pid), unreaped
     try:
-        local = [0]
         for j in range(1, k):
             try:
-                children.append((j, *_fork_range(n, bounds[j], bounds[j + 1], seed)))
+                pid = os.fork()
             except OSError:
-                local.extend(range(j, k))
                 break
-        for j in local:
-            out[bounds[j]:bounds[j + 1]] = _null_range(n, bounds[j], bounds[j + 1], seed)
+            if pid == 0:  # the child never returns: no atexit hook, no inherited buffer flushed
+                code = 1
+                try:
+                    fill(j)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append((j, pid))
+        for j in [0, *range(len(children) + 1, k)]:
+            fill(j)
         workers = 1
-        for j, pid, r in children:
-            with open(r, "rb", closefd=False) as pipe:
-                data = pipe.read()
+        while children:
+            j, pid = children[0]
             status = os.waitpid(pid, 0)[1]
-            reaped.add(pid)
-            lo, hi = bounds[j], bounds[j + 1]
-            if status == 0 and len(data) == 8 * (hi - lo):
-                out[lo:hi] = np.frombuffer(data)
+            del children[0]
+            if status == 0:
                 workers += 1
             else:
-                out[lo:hi] = _null_range(n, lo, hi, seed)
+                fill(j)
     finally:
-        for _, pid, r in children:
-            os.close(r)
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for _, pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     _null_workers.append(workers)
-    out.setflags(write=False)
-    return out
+    null = out.copy()  # a plain array for the cache; the mapping is freed with its view
+    null.setflags(write=False)
+    return null
 
 
 def dip_pvalue_mc(d: float, n: int, B: int, seed: int = 0) -> float:
@@ -297,8 +288,7 @@ def dip_pvalue_mc(d: float, n: int, B: int, seed: int = 0) -> float:
         raise ValueError("d must be positive and finite")
     if n < 2:
         raise TooFewPoints("dip p-value needs n >= 2")
-    if B < 1:
-        raise BadSpec("B must be at least 1")
+    check_count("B", B)
     null = _null_dips(int(n), int(B), int(seed) & _SEED_MASK)
     exceed = int(np.count_nonzero(null >= d))
     return (1 + exceed) / (B + 1)

@@ -421,6 +421,7 @@ def _exit_code(argv):
 _PLOT = ["plot", "in.csv", "-o", "o.svg", "--replicates", "9"]
 _BIMODAL = ["bench", "bimodal", "--iterations", "1", "--replicates", "9"]
 _SKEW = ["bench", "skew", "--iterations", "1"]
+_HUGE = str(10**20)  # more float64 values than any array can address
 # argv and the exit code it must give: 2 with an error line and no traceback, or
 # 0 with no error output and, for plot, an SVG that an XML parser accepts
 EXIT_CASES = {
@@ -448,6 +449,14 @@ EXIT_CASES = {
     "gen-negative-exponent": (["gen", "uniform", "-1e308", "1", "--n", "5"], 0),
     "plot-control-char-name": (["plot", "ctrl.csv", "-o", "o.svg", "--replicates", "9"], 0),
     "plot-control-char-title": ([*_PLOT, "--title", "t\x01\x1f"], 0),
+    "plot-replicates-1e20": (["plot", "in.csv", "-o", "o.svg", "--replicates", _HUGE], 2),
+    "test-replicates-1e20": (["test", "in.csv", "a", "--replicates", _HUGE], 2),
+    "gen-uniform-n-1e20": (["gen", "uniform", "0", "1", "--n", _HUGE], 2),
+    "gen-gaussmix-n-1e20": (["gen", "gaussmix", "0:1:1", "--n", _HUGE], 2),
+    "gen-skewnorm-n-1e20": (["gen", "skewnorm", "2", "--n", _HUGE], 2),
+    "bench-bimodal-n-1e20": ([*_BIMODAL, "--sweep", "1", "--n", _HUGE], 2),
+    "bench-skew-n-1e20": ([*_SKEW, "--sweep", "1", "--n", _HUGE], 2),
+    "bench-replicates-1e20": (["bench", "bimodal", "--sweep", "1", "--replicates", _HUGE], 2),
 }
 
 

@@ -39,6 +39,8 @@ class TestUniform:
     def test_bad_n(self):
         with pytest.raises(BadSpec):
             sample_uniform(0, 0, 1, seed=0)
+        with pytest.raises(BadSpec, match="at most"):
+            sample_uniform(10**20, 0, 1, seed=0)
 
 
 class TestGaussMixture:

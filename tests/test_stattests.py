@@ -1,5 +1,7 @@
 import errno
+import mmap
 import os
+import signal
 import threading
 import time
 
@@ -9,6 +11,7 @@ import scipy.stats
 
 from _oracles import dip_lp_oracle, dip_sorted_reference, skewness_z_oracle
 from finestruct import (
+    BadSpec,
     ConstantFeature,
     EngineConfig,
     FeatureSeries,
@@ -23,6 +26,7 @@ from finestruct import (
 )
 from finestruct import stattests
 from finestruct.cli import main
+from finestruct.stats_core import MAX_COUNT
 from finestruct.stattests import _dip_sorted
 
 
@@ -190,8 +194,9 @@ class TestNullSplit:
             thread.join(timeout=10)
         assert not thread.is_alive()
 
-    @pytest.mark.parametrize("call", ["fork", "pipe"])
-    def test_fork_failure_computes_in_process(self, workers, monkeypatch, tmp_path, capsys, call):
+    @pytest.mark.parametrize("module, call", [(os, "fork"), (mmap, "mmap")], ids=["fork", "mmap"])
+    def test_fork_failure_computes_in_process(self, workers, monkeypatch, tmp_path, capsys,
+                                              module, call):
         rng = np.random.default_rng(3)
         csv_path = tmp_path / "u.csv"
         csv_path.write_text("u\n" + "\n".join(repr(float(v)) for v in rng.random(200)) + "\n")
@@ -204,7 +209,7 @@ class TestNullSplit:
         def unavailable(*args):
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-        monkeypatch.setattr(os, call, unavailable)
+        monkeypatch.setattr(module, call, unavailable)
         workers(2)
         assert stattests._null_dips(200, 90, 4).tobytes() == want
         assert stattests._null_workers[-1] == 1
@@ -213,7 +218,7 @@ class TestNullSplit:
         assert capsys.readouterr().out == out
         _assert_no_child()
 
-    @pytest.mark.parametrize("failure", ["raises", "short"])
+    @pytest.mark.parametrize("failure", ["raises", "short", "killed"])
     def test_failed_child_range_computed_in_process(self, workers, monkeypatch, failure):
         want = stattests._null_range(300, 0, 90, 5).tobytes()
         null_range = stattests._null_range
@@ -224,7 +229,9 @@ class TestNullSplit:
                 return null_range(n, lo, hi, seed)
             if failure == "raises":
                 raise RuntimeError("child fails")
-            return null_range(n, lo, hi - 1, seed)  # exits 0 with too few bytes
+            if failure == "killed":  # before it writes
+                os.kill(os.getpid(), signal.SIGKILL)
+            return null_range(n, lo, hi - 1, seed)  # too few values for its slice
 
         monkeypatch.setattr(stattests, "_null_range", child_fails)
         workers(3)
@@ -288,6 +295,8 @@ class TestDipPvalue:
             dip_pvalue_mc(0.1, 100, 0)
         with pytest.raises(TooFewPoints):
             dip_pvalue_mc(0.1, 1, 10)
+        with pytest.raises(BadSpec, match="at most"):  # 8·B bytes over sys.maxsize
+            dip_pvalue_mc(0.1, 100, MAX_COUNT + 1)
 
 
 class TestDagostinoSkewness:
