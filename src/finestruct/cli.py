@@ -5,8 +5,9 @@ Subcommands: ``plot`` (CSV in, SVG + JSON report + manifest out), ``test``
 and ``bench`` (Monte Carlo sweeps of the two tests).
 
 Exit codes, set by ``main`` alone: 0 on success, 3 when every feature was
-skipped, 2 for any other FineStructError or OSError (unreadable input,
-unwritable output, bad parameters). Any other exception is a program fault.
+skipped, 2 for any other FineStructError, OSError or MemoryError (unreadable
+input, unwritable output, bad parameters, a count too large for memory). Any
+other exception is a program fault.
 """
 from __future__ import annotations
 
@@ -80,6 +81,9 @@ def read_csv_features(path: str) -> list[FeatureSeries]:
 
 
 _GEN_PARAMS = {"uniform": "LOW HIGH", "gaussmix": "MEAN:SD:WEIGHT,...", "skewnorm": "XI"}
+_DEFAULTS = EngineConfig()
+# parsed flags that are top-level manifest keys, or output paths, not config
+_NOT_CONFIG = {"command", "seed", "input", "output", "report"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,7 +101,8 @@ def _seed(text: str) -> int:
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_seed, default=0, help="global RNG seed (non-negative)")
+    p.add_argument("--seed", type=_seed, default=_DEFAULTS.seed,
+                   help="global RNG seed (non-negative)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,24 +113,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     plot = sub.add_parser("plot", help="render a mirrored-density plot from a CSV file")
+    # each EngineConfig field is the dest of one flag and takes its default from EngineConfig
+    plot.set_defaults(**dataclasses.asdict(_DEFAULTS))
     plot.add_argument("input", help="CSV file with a header row")
     plot.add_argument("--output", "-o", default="plot.svg", help="SVG output path")
     plot.add_argument("--report", default=None,
                       help="JSON report path (default: derived from --output)")
-    plot.add_argument("--scaling", default="none",
-                      choices=[m.value for m in ScalingMode], help="feature transform")
-    plot.add_argument("--ordering", default="default",
-                      choices=[m.value for m in Ordering], help="column ordering")
-    plot.add_argument("--sample-size", type=int, default=500_000,
+    plot.add_argument("--scaling", type=ScalingMode, choices=list(ScalingMode),
+                      help="feature transform")
+    plot.add_argument("--ordering", type=Ordering, choices=list(Ordering), help="column ordering")
+    plot.add_argument("--sample-size", dest="sample_size_cap", type=int,
                       help="total cell budget before subsampling")
-    plot.add_argument("--min-data", type=int, default=50,
-                      help="minimum values for density estimation")
-    plot.add_argument("--min-unique", type=int, default=12,
+    plot.add_argument("--min-data", type=int, help="minimum values for density estimation")
+    plot.add_argument("--min-unique", type=int,
                       help="minimum unique values for density estimation")
-    plot.add_argument("--alpha", type=float, default=0.05, help="test level for the Gaussian gate")
-    plot.add_argument("--replicates", type=int, default=2000, help="Monte Carlo replicates")
-    plot.add_argument("--no-gaussian", action="store_true", help="disable the Gaussian overlay")
-    plot.add_argument("--boxplot", action="store_true", help="overlay a box plot on each glyph")
+    plot.add_argument("--alpha", type=float, help="test level for the Gaussian gate")
+    plot.add_argument("--replicates", type=int, help="Monte Carlo replicates")
+    plot.add_argument("--no-gaussian", dest="robust_gaussian", action="store_false",
+                      help="disable the Gaussian overlay")
+    plot.add_argument("--boxplot", dest="boxplot_overlay", action="store_true",
+                      help="overlay a box plot on each glyph")
     plot.add_argument("--hline", type=float, action="append", default=[],
                       help="horizontal reference line at this y (repeatable)")
     plot.add_argument("--title", default="", help="plot title")
@@ -134,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     test = sub.add_parser("test", help="dip and skewness tests for one column")
     test.add_argument("input", help="CSV file with a header row")
     test.add_argument("column", help="column name to test")
-    test.add_argument("--replicates", type=int, default=2000, help="Monte Carlo replicates")
+    test.add_argument("--replicates", type=int, default=_DEFAULTS.replicates,
+                      help="Monte Carlo replicates")
     test.add_argument("--json", action="store_true", help="emit JSON instead of text")
     _add_seed(test)
 
@@ -151,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sweep", required=True,
                        help="comma-separated parameter values (means or xi)")
     bench.add_argument("--iterations", type=int, default=100, help="samples per sweep value")
-    bench.add_argument("--replicates", type=int, default=2000,
+    bench.add_argument("--replicates", type=int, default=_DEFAULTS.replicates,
                        help="Monte Carlo replicates for dip p-values")
     bench.add_argument("--n", type=int, default=None,
                        help="sample size (default: 31000 bimodal, 15000 skew)")
@@ -198,47 +206,42 @@ def _peak_rss_mb() -> float | None:
     return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
-def _write_manifest(path: str, command: str, seed: int, config: dict, t0: float,
-                    **extra) -> None:
+def _write_json(path: str, obj) -> None:
+    """``obj`` as indented JSON; an enum is written as its CLI text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, allow_nan=False, default=str)
+        fh.write("\n")
+
+
+def _write_manifest(path: str, args, t0: float, **extra) -> None:
     """Reproducibility sidecar of a file-producing run.
 
-    ``timing`` holds what varies from run to run: the wall time and the peak RSS.
+    ``config`` is the command's parsed flags without the output paths and the
+    keys written beside it. ``timing`` holds what varies from run to run: the
+    wall time and the peak RSS.
     """
     manifest = {
         "tool": "finestruct",
         "version": __version__,
-        "command": command,
-        "seed": seed,
-        "config": config,
+        "command": args.command,
+        "seed": args.seed,
+        "config": {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG},
         **extra,
         "timing": {"total_s": round(time.perf_counter() - t0, 3),
                    "peak_rss_mb": _peak_rss_mb()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, manifest)
 
 
 def cmd_plot(args) -> int:
     t0 = time.perf_counter()
     features = read_csv_features(args.input)
-    cfg = EngineConfig(
-        sample_size_cap=args.sample_size,
-        min_data=args.min_data,
-        min_unique=args.min_unique,
-        alpha=args.alpha,
-        scaling=ScalingMode(args.scaling),
-        ordering=Ordering(args.ordering),
-        robust_gaussian=not args.no_gaussian,
-        boxplot_overlay=args.boxplot,
-        replicates=args.replicates,
-        seed=args.seed,
-    )
+    cfg = EngineConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(EngineConfig)})
     before, split_from = _null_dips.cache_info(), len(_null_workers)
     model = build_plot_model(features, cfg)
     after = _null_dips.cache_info()
     dip_null = {"computed": after.misses - before.misses, "reused": after.hits - before.hits,
-                "replicates": args.replicates,
+                "replicates": cfg.replicates,
                 "workers": max(_null_workers[split_from:], default=1)}
     if args.title:
         model = dataclasses.replace(model, title=args.title)
@@ -247,26 +250,12 @@ def cmd_plot(args) -> int:
     stem = _stem(args.output, ".svg")
     report_path = args.report if args.report is not None else stem + ".report.json"
     manifest_path = stem + ".manifest.json"
-    report = _json_sanitize({"seed": args.seed, "ordering": args.ordering, **model.to_dict()})
+    report = {"seed": cfg.seed, "ordering": str(cfg.ordering), **model.to_dict()}
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, allow_nan=False)
-        fh.write("\n")
-    config = {
-        "scaling": args.scaling,
-        "ordering": args.ordering,
-        "sample_size": args.sample_size,
-        "min_data": args.min_data,
-        "min_unique": args.min_unique,
-        "alpha": args.alpha,
-        "replicates": args.replicates,
-        "robust_gaussian": not args.no_gaussian,
-        "boxplot": args.boxplot,
-        "hlines": list(args.hline),
-    }
+    _write_json(report_path, _json_sanitize(report))
     _write_manifest(
-        manifest_path, "plot", args.seed, config, t0,
+        manifest_path, args, t0,
         input=args.input,
         features=[{"name": f.name, "values": len(f), "missing": f.missing_count}
                   for f in features],
@@ -322,7 +311,7 @@ def _parse_mixture(text: str) -> GaussMixSpec:
     return GaussMixSpec(tuple(comps))
 
 
-def _write_lines(args, lines: list[str], config: dict, t0: float) -> int:
+def _write_lines(args, lines: list[str], t0: float) -> int:
     """Write ``lines`` to ``--output`` and a manifest to ``<output>.manifest.json``, or to stdout.
 
     The manifest keeps the whole output name, so ``plot`` of the same stem,
@@ -332,7 +321,7 @@ def _write_lines(args, lines: list[str], config: dict, t0: float) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _write_manifest(args.output + ".manifest.json", args.command, args.seed, config, t0)
+        _write_manifest(args.output + ".manifest.json", args, t0)
     else:
         sys.stdout.write(text)
     return 0
@@ -349,8 +338,7 @@ def cmd_gen(args) -> int:
         series = sample_gauss_mixture(args.n, _parse_mixture(args.params[0]), args.seed)
     else:
         series = sample_skew_normal(args.n, SkewSpec(xi=_number(args.params[0])), args.seed)
-    return _write_lines(args, [series.name] + [repr(float(v)) for v in series.values],
-                        {"kind": args.kind, "params": args.params, "n": args.n}, t0)
+    return _write_lines(args, [series.name] + [repr(float(v)) for v in series.values], t0)
 
 
 def run_bench(experiment: str, sweep, iterations: int, B: int, n: int | None, seed: int):
@@ -394,19 +382,17 @@ def cmd_bench(args) -> int:
     lines = ["param,iteration,p"]
     lines += [f"{param:g},{t},{p!r}" for param, t, p in rows]
     lines += [f"{param:g},{label},{p!r}" for param, label, p in summaries]
-    return _write_lines(args, lines, {"experiment": args.experiment, "sweep": sweep,
-                                      "iterations": args.iterations,
-                                      "replicates": args.replicates, "n": args.n}, t0)
+    return _write_lines(args, lines, t0)
 
 
 def main(argv=None) -> int:
-    """Run one command; a FineStructError or OSError prints ``error: <message>``."""
+    """Run one command; an expected error prints ``error: <message>``."""
     args = build_parser().parse_args(argv)
     handler = {"plot": cmd_plot, "test": cmd_test, "gen": cmd_gen, "bench": cmd_bench}
     try:
         return handler[args.command](args)
-    except (FineStructError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FineStructError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3 if isinstance(exc, NoPlottableFeatures) else 2
 
 

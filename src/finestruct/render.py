@@ -63,6 +63,8 @@ def nice_ticks(lo: float, hi: float) -> list[float]:
     for scale in (mag * 10.0, mag, mag / 10.0, mag / 100.0):
         for mult in (1.0, 2.0, 5.0):
             step = scale * mult
+            if not step > 0:  # 10 ** -324 and below underflow to 0
+                continue
             first = math.ceil(lo / step)
             last = math.floor(hi / step)
             count = last - first + 1

@@ -129,6 +129,15 @@ def quantile(values, p: float) -> float:
     return (1.0 - frac) * a + frac * b
 
 
+def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``x * 2**-e`` and ``e``, the power of two that puts max |x| in [0.5, 1).
+
+    Exact unless a value falls below the normal float range.
+    """
+    e = math.frexp(max(-float(x.min()), float(x.max())))[1]
+    return np.ldexp(x, -e), e
+
+
 def _raw_moments(x: np.ndarray):
     mean = np.mean(x)
     d = x - mean
@@ -152,8 +161,8 @@ def moments(x: np.ndarray) -> tuple[float, float, float]:
     with np.errstate(all="ignore"):
         mean, m2, g1, kurt = _raw_moments(x)
         if m2 != 0.0 and not (math.isfinite(mean) and math.isfinite(g1 + kurt)):
-            _, e = math.frexp(max(-lo, hi))
-            mean, m2, g1, kurt = _raw_moments(np.ldexp(x, -e))
+            scaled, e = unit_scaled(x)
+            mean, m2, g1, kurt = _raw_moments(scaled)
             mean = np.ldexp(mean, e)
     if lo == hi:
         return lo, math.nan, math.nan

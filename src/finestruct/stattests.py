@@ -3,7 +3,9 @@
 The dip statistic is the minimum over all unimodal distribution functions of
 the sup distance to the empirical CDF, computed exactly on sorted data with
 the greatest-convex-minorant / least-concave-majorant iteration. The dip
-runs in pure Python on lists of floats; numpy is the only dependency. Its
+runs in pure Python on lists of floats; numpy is the only dependency. The
+dip is scale-free, and a sample whose range is too wide or too narrow for its
+chord slopes is scaled by a power of two first, so D(x * 2**k) == D(x). Its
 p-value comes from seeded Monte Carlo against the uniform null, which depends
 only on (seed, n, B) (Hartigan & Hartigan 1985): ``_null_dips`` caches it on
 that key, so every sample of equal n tested at one seed and B reuses one null,
@@ -24,8 +26,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConstantFeature, TooFewPoints
-from .stats_core import FeatureSeries, check_count, finite_values, moments
+from .errors import BadSpec, ConstantFeature, TooFewPoints
+from .stats_core import FeatureSeries, check_count, finite_values, moments, unit_scaled
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 SKEW_UNDEFINED = "skewness undefined for a constant sample"
@@ -187,11 +189,19 @@ def _dip_sorted(x: list) -> float:
 
 
 def dip_statistic(values) -> float:
-    """Hartigan-Hartigan dip of a finite sample; larger means less unimodal."""
+    """Hartigan-Hartigan dip of a finite sample; larger means less unimodal.
+
+    The dip is scale-free, so a sample whose range lies outside [2**-960,
+    2**960], where the chord slopes would overflow, is first scaled by a power
+    of two (``stats_core.unit_scaled``); every other sample is used as given.
+    """
     x = finite_values(values)
     if x.size < 2:
         raise TooFewPoints("dip_statistic needs at least 2 values")
-    return _dip_sorted(np.sort(x).tolist())
+    x = np.sort(x)
+    if not 2.0**-960 <= float(x[-1]) - float(x[0]) <= 2.0**960:
+        x = unit_scaled(x)[0]
+    return _dip_sorted(x.tolist())
 
 
 def _null_range(n: int, lo: int, hi: int, seed: int) -> np.ndarray:
@@ -285,7 +295,7 @@ def dip_pvalue_mc(d: float, n: int, B: int, seed: int = 0) -> float:
     monotone in d for a fixed seed.
     """
     if not 0 < d < math.inf:
-        raise ValueError("d must be positive and finite")
+        raise BadSpec("d must be positive and finite")
     if n < 2:
         raise TooFewPoints("dip p-value needs n >= 2")
     check_count("B", B)

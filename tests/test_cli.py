@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from finestruct import cli, stattests
 from finestruct.cli import CsvError, main, read_csv_features
-from finestruct import stattests
+from finestruct.engine import EngineConfig
 from finestruct.stattests import _null_dips
 
 SVGNS = "{http://www.w3.org/2000/svg}"
@@ -98,6 +100,29 @@ class TestPlotCommand:
             assert manifest["dip_null"] == {"computed": 1, "reused": k - 1, "replicates": 60,
                                             "workers": cpus}
             assert manifest["timing"]["peak_rss_mb"] > 0
+
+    def test_manifest_config_is_the_parsed_flags(self, tmp_path):
+        csv_path = _write_normal_csv(tmp_path / "in.csv", n=100)
+        assert main(["plot", str(csv_path), "-o", str(tmp_path / "out.svg"),
+                     "--sample-size", "800", "--min-data", "40", "--min-unique", "10",
+                     "--alpha", "0.1", "--no-gaussian", "--boxplot", "--scaling", "robust",
+                     "--ordering", "alphabetical", "--replicates", "30"]) == 0
+        config = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
+        # EngineConfig's names; no output paths, and seed is a top-level key
+        assert config == {"scaling": "robust", "ordering": "alphabetical",
+                          "sample_size_cap": 800, "min_data": 40, "min_unique": 10,
+                          "alpha": 0.1, "replicates": 30, "robust_gaussian": False,
+                          "boxplot_overlay": True, "hline": [], "title": ""}
+
+    def test_flagless_manifest_config_is_engine_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write_normal_csv(tmp_path / "in.csv", n=100)
+        assert main(["plot", "in.csv"]) == 0
+        config = json.loads((tmp_path / "plot.manifest.json").read_text())["config"]
+        expected = {**dataclasses.asdict(EngineConfig()), "scaling": "none",
+                    "ordering": "default", "hline": [], "title": ""}
+        del expected["seed"]
+        assert config == expected
 
     def test_manifest_peak_rss_excludes_spawning_process(self, tmp_path):
         # getrusage's ru_maxrss survives exec: a child of a process holding
@@ -385,6 +410,15 @@ class TestGenCommand:
         capsys.readouterr()
 
 
+    def test_out_of_memory_exit_2(self, monkeypatch, capsys):
+        # a count within MAX_COUNT can still exceed memory
+        def sample_uniform(*args):
+            raise MemoryError()
+        monkeypatch.setattr(cli, "sample_uniform", sample_uniform)
+        assert main(["gen", "uniform", "0", "1", "--n", "10000000000000"]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 class TestBenchCommand:
     def test_single_iteration_rows(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -449,6 +483,8 @@ EXIT_CASES = {
     "gen-negative-exponent": (["gen", "uniform", "-1e308", "1", "--n", "5"], 0),
     "plot-control-char-name": (["plot", "ctrl.csv", "-o", "o.svg", "--replicates", "9"], 0),
     "plot-control-char-title": ([*_PLOT, "--title", "t\x01\x1f"], 0),
+    "plot-subnormal-range": (["plot", "sub.csv", "-o", "o.svg", "--replicates", "9"], 0),
+    "test-subnormal-scale": (["test", "tiny.csv", "t", "--replicates", "9"], 0),
     "plot-replicates-1e20": (["plot", "in.csv", "-o", "o.svg", "--replicates", _HUGE], 2),
     "test-replicates-1e20": (["test", "in.csv", "a", "--replicates", _HUGE], 2),
     "gen-uniform-n-1e20": (["gen", "uniform", "0", "1", "--n", _HUGE], 2),
@@ -468,6 +504,9 @@ def test_exit_code_policy(tmp_path, monkeypatch, capsys, case):
     Path("long.csv").write_text("a\n1\n" + "9" * 131_073 + "\n")
     Path("huge.csv").write_text("c\n" + "1700000000000000000\n" * 60)
     Path("2p53.csv").write_text("c\n" + "9007199254740993\n" * 60)
+    tiny = np.random.default_rng(0).normal(size=500) * 1e-310  # overflows the dip's slopes
+    Path("tiny.csv").write_text("t\n" + "".join(f"{v!r}\n" for v in tiny.tolist()))
+    Path("sub.csv").write_text("s\n" + "0.0\n5e-324\n" * 40 + "1e-323\n" * 20)
     Path("ctrl.csv").write_text("a\x01b\n" + Path("in.csv").read_text().split("\n", 1)[1])
     argv, expected = EXIT_CASES[case]
     assert _exit_code(argv) == expected
@@ -476,7 +515,7 @@ def test_exit_code_policy(tmp_path, monkeypatch, capsys, case):
         assert "error:" in err and "Traceback" not in err
         return
     assert err == ""
-    if argv[0] == "gen":  # the CSV went to stdout
+    if argv[0] != "plot":  # the output went to stdout
         return
     svg = Path("o.svg").read_text(encoding="utf-8")
     root = ET.fromstring(svg)

@@ -201,6 +201,10 @@ class TestNiceTicks:
         assert 4 <= len(ticks) <= 14
         assert all(np.isfinite(ticks)) and all(-top <= t <= top for t in ticks)
 
+    def test_subnormal_span_falls_back_to_ends(self):
+        # 10 ** -324 underflows to a zero step
+        assert nice_ticks(0.0, 5e-324) == [0.0, 5e-324]
+
 
 class TestInfiniteSharedRange:
     """Columns at the ends of the float range share one finite y axis."""

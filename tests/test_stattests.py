@@ -1,4 +1,5 @@
 import errno
+import math
 import mmap
 import os
 import signal
@@ -97,6 +98,18 @@ class TestDipStatistic:
             assert dip_statistic(0.25 * x) == d
         grid = np.sort(rng.integers(0, 1000, size=60)).astype(float)
         assert dip_statistic(grid + 7.0) == dip_statistic(grid)
+
+    def test_power_of_two_invariance_at_any_scale(self):
+        # the chord slopes of a sample scaled near either end of the float range
+        # overflow unless the dip rescales it; integer data stays exact down to
+        # the smallest subnormal, so D must be bit-identical for every k
+        rng = np.random.default_rng(0)
+        v = np.concatenate([rng.integers(-1000, -900, 200),
+                            rng.integers(900, 1000, 200)]).astype(float)
+        d = dip_statistic(v)
+        assert [k for k in range(-1064, 1014) if dip_statistic(np.ldexp(v, k)) != d] == []
+        clusters = v * 1.5e-3  # times 1e308, a range near 3e308 overflows
+        assert dip_statistic(clusters * 1e308) == pytest.approx(dip_statistic(clusters), rel=1e-9)
 
     def test_affine_invariance_general(self):
         # a general a*x+b rounds the inputs themselves; the dip stays equal
@@ -289,8 +302,9 @@ class TestDipPvalue:
         assert 0.01 <= hits / reps <= 0.10
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            dip_pvalue_mc(0.0, 100, 10)
+        for d in (0.0, math.inf):
+            with pytest.raises(BadSpec, match="positive and finite"):
+                dip_pvalue_mc(d, 100, 10)
         with pytest.raises(ValueError):
             dip_pvalue_mc(0.1, 100, 0)
         with pytest.raises(TooFewPoints):
