@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .density import (
     DensityCurve,
     PdeConfig,
-    neighborhood_fraction,
     pareto_radius,
     pde_estimate,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "dip_statistic",
     "feature_report",
     "gaussian_overlay_path",
-    "neighborhood_fraction",
     "nice_ticks",
     "order_features",
     "pareto_radius",

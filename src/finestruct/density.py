@@ -228,16 +228,3 @@ def pde_estimate(values, seed: int = 0) -> DensityCurve:
     if not np.all(np.isfinite(densities)):
         raise BadRange(f"[{lo!r}, {hi!r}] is too narrow for a unit-mass density")
     return DensityCurve(kernels=kernels, densities=densities, radius=r)
-
-
-def neighborhood_fraction(values, radius: float) -> float:
-    """Mean fraction of the sample within ``radius`` of each point (self-inclusive)."""
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size == 0:
-        raise TooFewPoints("neighborhood_fraction needs at least 1 value")
-    xs = np.sort(x)
-    counts = (
-        np.searchsorted(xs, xs + radius, side="right")
-        - np.searchsorted(xs, xs - radius, side="left")
-    )
-    return float(counts.mean() / x.size)

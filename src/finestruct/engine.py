@@ -228,7 +228,7 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
     density glyph with tests, and optionally the Gaussian and box overlays.
     The Gaussian overlay needs a report whose shape class is GaussianLike,
     i.e. neither test rejects at level alpha; the report is None when the
-    tests cannot run (too few points, or no spread for the skewness).
+    tests cannot run on too few points.
     """
     stats = describe(f)
     n_unique = int(np.unique(f.values).size)
@@ -245,8 +245,6 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
         report = feature_report(f, cfg.replicates, cfg.seed)
     except TooFewPoints:
         report = None
-    if report is not None and math.isnan(report.skew_p):
-        report = None  # no spread for the skewness test: no verdict
     shape_class = _shape_class(report, cfg.alpha)
     overlay = None
     if cfg.robust_gaussian and report is not None and shape_class == "GaussianLike":

@@ -138,44 +138,37 @@ def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -e), e
 
 
-def _raw_moments(x: np.ndarray):
-    mean = np.mean(x)
-    d = x - mean
-    m2 = np.mean(d * d)
-    m3 = np.mean(d * d * d)
-    m4 = np.mean(d * d * d * d)
-    return mean, m2, m3 / m2 ** 1.5, m4 / (m2 * m2) - 3.0
-
-
 def moments(x: np.ndarray) -> tuple[float, float, float]:
-    """Mean, g1 and excess kurtosis of a sample, summed in the given order.
+    """Mean, g1 and excess kurtosis of a sample; they depend only on its values.
 
     Population central moments m_k = sum((x-mean)^k)/n give g1 = m3/m2^1.5
-    and excess kurtosis m4/m2^2 - 3; both are NaN when min == max or m2 == 0
-    (a constant sample, or a spread that underflows), and the mean of a
-    constant sample is its value. When a moment overflows or underflows, they
-    are computed again on the values scaled by a power of two below 1 in
-    magnitude: g1 and kurtosis are scale-free and the mean scales back exactly.
+    and excess kurtosis m4/m2^2 - 3; both are NaN when min == max, and the mean
+    of a constant sample is its value. They are computed on ``unit_scaled(x)``
+    with every sum exactly rounded (``math.fsum``), so no row order changes a
+    bit, g1(-x) == -g1(x) exactly, and no moment overflows or underflows: once
+    min < max the scaled m2 is positive. The mean scales back exactly.
     """
     lo, hi = float(x.min()), float(x.max())
-    with np.errstate(all="ignore"):
-        mean, m2, g1, kurt = _raw_moments(x)
-        if m2 != 0.0 and not (math.isfinite(mean) and math.isfinite(g1 + kurt)):
-            scaled, e = unit_scaled(x)
-            mean, m2, g1, kurt = _raw_moments(scaled)
-            mean = np.ldexp(mean, e)
     if lo == hi:
         return lo, math.nan, math.nan
-    if m2 == 0.0:
-        return float(mean), math.nan, math.nan
-    return float(mean), float(g1), float(kurt)
+    s, e = unit_scaled(x)
+
+    def mean(v):
+        return math.fsum(v.tolist()) / v.size
+
+    m1 = mean(s)
+    d = s - m1
+    m2 = mean(d * d)
+    m3 = mean(d * d * d)
+    m4 = mean(d * d * d * d)
+    return math.ldexp(m1, e), m3 / m2 ** 1.5, m4 / (m2 * m2) - 3.0
 
 
 def describe(f: FeatureSeries) -> DescriptiveStats:
     """Descriptive statistics of one feature.
 
-    Quantiles and moments (see ``moments``) are computed on the sorted values,
-    so the result is exactly permutation-invariant.
+    Quantiles are computed on the sorted values and the moments (see
+    ``moments``) with exact sums, so the result is exactly permutation-invariant.
     """
     if f.values.size == 0:
         raise EmptyFeature(f"feature {f.name!r} has no values")

@@ -3,16 +3,18 @@
 The dip statistic is the minimum over all unimodal distribution functions of
 the sup distance to the empirical CDF, computed exactly on sorted data with
 the greatest-convex-minorant / least-concave-majorant iteration. The dip
-runs in pure Python on lists of floats; numpy is the only dependency. The
-dip is scale-free, and a sample whose range is too wide or too narrow for its
-chord slopes is scaled by a power of two first, so D(x * 2**k) == D(x). Its
-p-value comes from seeded Monte Carlo against the uniform null, which depends
-only on (seed, n, B) (Hartigan & Hartigan 1985): ``_null_dips`` caches it on
-that key, so every sample of equal n tested at one seed and B reuses one null,
-and splits it across the usable CPUs with ``fork`` without changing a byte:
-each forked worker writes its replicates into one anonymous shared mapping.
-``feature_report`` records that seed in ``TestReport.seed``. Skewness uses
-the classic transformation of g1 to an approximately standard-normal z.
+runs in pure Python on lists of floats; numpy is the only dependency. The dip
+and the skewness are computed on the sample scaled by a power of two
+(``stats_core.unit_scaled``), so they depend only on its multiset of values:
+row order and any x * 2**k that keeps the values normal leave them bit for
+bit alike. The dip's p-value comes from seeded Monte Carlo against the
+uniform null, which depends only on (seed, n, B) (Hartigan & Hartigan 1985):
+``_null_dips`` caches it on that key, so every sample of equal n tested at one
+seed and B reuses one null, and splits it across the usable CPUs with ``fork``
+without changing a byte: each forked worker writes its replicates into one
+anonymous shared mapping. ``feature_report`` records that seed in
+``TestReport.seed``. Skewness uses the classic transformation of g1 to an
+approximately standard-normal z.
 """
 from __future__ import annotations
 
@@ -191,17 +193,15 @@ def _dip_sorted(x: list) -> float:
 def dip_statistic(values) -> float:
     """Hartigan-Hartigan dip of a finite sample; larger means less unimodal.
 
-    The dip is scale-free, so a sample whose range lies outside [2**-960,
-    2**960], where the chord slopes would overflow, is first scaled by a power
-    of two (``stats_core.unit_scaled``); every other sample is used as given.
+    The dip is scale-free, so it is computed on the sorted sample scaled by the
+    power of two that puts max |x| in [0.5, 1) (``stats_core.unit_scaled``):
+    D(x * 2**k) == D(x) bit for bit while x * 2**k stays normal, and a range
+    near the float limit cannot overflow the chord slopes.
     """
     x = finite_values(values)
     if x.size < 2:
         raise TooFewPoints("dip_statistic needs at least 2 values")
-    x = np.sort(x)
-    if not 2.0**-960 <= float(x[-1]) - float(x[0]) <= 2.0**960:
-        x = unit_scaled(x)[0]
-    return _dip_sorted(x.tolist())
+    return _dip_sorted(unit_scaled(np.sort(x))[0].tolist())
 
 
 def _null_range(n: int, lo: int, hi: int, seed: int) -> np.ndarray:
@@ -307,7 +307,8 @@ def dip_pvalue_mc(d: float, n: int, B: int, seed: int = 0) -> float:
 def dagostino_skewness(values) -> tuple[float, float, float]:
     """Skewness test: returns (g1, z, two-sided p).
 
-    g1 = m3/m2^1.5 (``stats_core.moments``, summed in the given order) is
+    g1 = m3/m2^1.5 (``stats_core.moments``, with exact sums, so it equals
+    ``describe``'s ``skewness_g1`` in any row order) is
     transformed to an approximately N(0,1) statistic via the Johnson S_U fit
     to its null distribution; needs n >= 9. Raises ConstantFeature when g1 is
     undefined, BadSpec when a value is NaN or infinite.
@@ -335,9 +336,9 @@ def dagostino_skewness(values) -> tuple[float, float, float]:
 def feature_report(f: FeatureSeries, B: int = 2000, seed: int = 0) -> TestReport:
     """Dip test (B Monte Carlo replicates) and skewness test of one feature.
 
-    The skewness fields are NaN when the sample has no spread (min == max, or
-    m2 == 0 when tiny values underflow). Raises TooFewPoints below 2
-    values for the dip and below 9 for the skewness.
+    The skewness fields are NaN only when the sample is constant (min == max).
+    Raises TooFewPoints below 2 values for the dip and below 9 for the
+    skewness.
     """
     d = dip_statistic(f.values)
     dip_p = dip_pvalue_mc(d, len(f), B, seed)

@@ -3,7 +3,8 @@
 These deliberately share no code with the package: the dip oracle solves
 linear programs over piecewise-linear unimodal CDFs, the dip reference is a
 frozen copy of the earlier ndarray dip kernel, the Pareto radius oracle takes
-the quantile over every pairwise distance by definition, the skewness oracle
+the quantile over every pairwise distance by definition, the neighborhood
+fraction counts the points within the radius of each point, the skewness oracle
 re-derives the z transformation step by step in plain math, and the
 skew-normal moment oracle integrates the density numerically.
 """
@@ -276,6 +277,18 @@ def pareto_radius_oracle(values, cap, seed, quantile=0.18, threshold=1024):
     if n > threshold:
         r *= (n / threshold) ** (-0.2)
     return r
+
+
+def neighborhood_fraction(values, radius):
+    """Mean fraction of the sample within ``radius`` of each point (self-inclusive)."""
+    xs = np.sort(np.asarray(values, dtype=float).ravel())
+    if xs.size == 0:
+        raise ValueError("neighborhood_fraction needs at least 1 value")
+    counts = (
+        np.searchsorted(xs, xs + radius, side="right")
+        - np.searchsorted(xs, xs - radius, side="left")
+    )
+    return float(counts.mean() / xs.size)
 
 
 def skewness_z_oracle(values):

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from _oracles import skewness_z_oracle
+from _oracles import neighborhood_fraction, skewness_z_oracle
 from finestruct import (
     EngineConfig,
     FeatureSeries,
@@ -20,7 +20,6 @@ from finestruct import (
     dip_pvalue_mc,
     dip_statistic,
     gaussian_overlay_path,
-    neighborhood_fraction,
     pareto_radius,
     pde_estimate,
     render_svg,

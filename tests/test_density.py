@@ -3,12 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import pareto_radius_oracle
+from _oracles import neighborhood_fraction, pareto_radius_oracle
 from finestruct import (
     ConstantFeature,
     PdeConfig,
     TooFewPoints,
-    neighborhood_fraction,
     pareto_radius,
     pde_estimate,
 )

@@ -46,11 +46,11 @@ def _write_mixed_csv(path):
 CASES = {
     "density": (_write_density_csv, ["--boxplot", "--seed", "7", "--replicates", "200"],
                 "87e6cca98c64c6ed98a1abfdd1a7307a7937edd4607e23447685503847f5a87d",
-                "30995f1d4cee0d592c0d8d5657a34d60c5d02795c31e366aa290cfb4f9899837"),
+                "61ea15b19e4c0098c78d1bd5f15b642596766a25d7aa0dcdaf93e60cb525a8dd"),
     "mixed": (_write_mixed_csv, ["--boxplot", "--seed", "5", "--replicates", "100",
                                  "--title", "T" + SPECIALS, "--hline", "0.5", "--hline", "-1e-3"],
               "b4c97533b6ad81f3e996a84674b273e5156068f091a6c3e65dd7986f296e8aa9",
-              "a81b6a69db2d4167af651fb1572764a9287ce3268ae732e516d340e5023af62d"),
+              "10e6658f7c3e31d4babbf01c461d3eafc2e287b1c467f56d7ffbb09d10c4019d"),
 }
 
 

@@ -5,6 +5,8 @@ and offsets up to 1e17. Each example is built from a drawn seed with numpy,
 so a failing example shrinks to a small (n, scale, offset, ties, seed) tuple.
 The CLI properties draw whole CSV files instead: cells, names and row shapes.
 """
+import contextlib
+import io
 import json
 import math
 import os
@@ -77,19 +79,59 @@ def test_pareto_radius_matches_oracle(x, cap, seed):
 @given(extreme_samples(min_n=9))
 def test_skewness_defined_alike(x):
     # describe (sorted order) and the skewness test (given order) share one
-    # moments routine; neither warns, and g1 is undefined for both or neither
+    # moments routine; neither warns, g1 is undefined for both or neither,
+    # and where defined both give the same g1 bit for bit
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g1 = describe(FeatureSeries("x", x)).skewness_g1
         try:
-            dagostino_skewness(x)
+            tested_g1 = dagostino_skewness(x)[0]
         except ConstantFeature:
-            tested = False
-        else:
-            tested = True
-    assert tested == (not math.isnan(g1))
+            tested_g1 = None
+    assert (tested_g1 is not None) == (not math.isnan(g1))
+    if tested_g1 is not None:
+        assert tested_g1 == g1
     if x.min() == x.max():
         assert math.isnan(g1)
+
+
+def _normal_shifts(x):
+    """The k for which every nonzero |x| * 2**k stays a normal float."""
+    e = [math.frexp(v)[1] for v in np.abs(x[x != 0]).tolist()]
+    return st.integers(-1021 - min(e), 1024 - max(e)) if e else st.just(0)
+
+
+def _dip_and_skewness(x):
+    try:
+        skewness = dagostino_skewness(x)
+    except ConstantFeature:
+        skewness = None
+    return dip_statistic(x), skewness
+
+
+@PROPERTY_SETTINGS
+@given(extreme_samples(min_n=9), st.data())
+def test_power_of_two_scaling_leaves_statistics_unchanged(x, data):
+    # D, g1, z and p depend only on the power-of-two-scaled sample
+    k = data.draw(_normal_shifts(x), label="k")
+    assert _dip_and_skewness(np.ldexp(x, k)) == _dip_and_skewness(x)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(extreme_samples(min_n=9), st.integers(0, 2**32 - 1))
+def test_cli_test_output_ignores_row_order(x, seed):
+    # `finestruct test --json` on a CSV and on the same rows shuffled
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for run, values in (("a", x), ("b", np.random.default_rng(seed).permutation(x))):
+            src = os.path.join(tmp, run + ".csv")
+            with open(src, "w", encoding="utf-8") as fh:
+                fh.write("x\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["test", src, "x", "--json", "--replicates", "9"])
+            outputs.append((code, out.getvalue()))
+    assert outputs[0] == outputs[1]
 
 
 @PROPERTY_SETTINGS

@@ -44,6 +44,23 @@ def test_non_finite_input_rejected(call, bad):
         call(bad)
 
 
+def _null_replicate(n, i):
+    """The sample of replicate i of a seed-3 dip null, drawn as ``stattests._null_range`` does."""
+    return np.random.default_rng(np.random.SeedSequence((3, i))).random(n)
+
+
+# each case: a sample built from a seeded generator, and the k at which
+# dip_statistic(x * 2**k) is checked (1e17 * 2**1000 would overflow)
+LP_CASES = {
+    "null60": (lambda rng: _null_replicate(60, 0), (0, -1000, 1000)),
+    "null100": (lambda rng: _null_replicate(100, 1), (0, -1000, 1000)),
+    "ties80": (lambda rng: np.round(rng.normal(size=80), 1), (0, -1000, 1000)),
+    "clusters": (lambda rng: np.concatenate([rng.normal(size=40), 4.0 + rng.normal(size=40)]),
+                 (0, -1000, 1000)),
+    "offset1e17": (lambda rng: 1e17 + 16.0 * rng.integers(-200, 200, size=60), (0, -1000)),
+}
+
+
 class TestDipStatistic:
     def test_two_points(self):
         # lower bound 1/(2n) attained at n=2 (verified against the LP oracle)
@@ -73,6 +90,17 @@ class TestDipStatistic:
             else:
                 x = np.round(rng.normal(size=n), 1)  # forces ties
             assert dip_statistic(x) == pytest.approx(dip_lp_oracle(x), abs=1e-7)
+
+    @pytest.mark.parametrize("case", sorted(LP_CASES))
+    def test_matches_lp_oracle_at_null_sizes(self, case):
+        # the kinds the null and real data hit at n = 60-100: the null's own
+        # (seed, i) uniform streams, ties, two clusters and a 1e17 offset (16 is
+        # its ulp). The LP solver fails at 2**±1000, so it sees the unscaled x.
+        make, scales = LP_CASES[case]
+        x = make(np.random.default_rng(50))
+        want = dip_lp_oracle(x)
+        for k in scales:
+            assert dip_statistic(np.ldexp(x, k)) == pytest.approx(want, abs=1e-12), k
 
     @pytest.mark.parametrize("n", range(2, 51))
     def test_even_grid_attains_lower_bound(self, n):
@@ -361,7 +389,8 @@ class TestDagostinoSkewness:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e125, 1e160, 1e-130])
     def test_scaled_sample_keeps_g1(self, scale):
-        # 1e125: m3 and m2 ** 1.5 overflow; 1e160: m2 overflows; 1e-130: m2 ** 1.5 underflows
+        # unscaled, 1e125 would overflow m3 and m2 ** 1.5, 1e160 m2, and 1e-130
+        # would underflow m2 ** 1.5
         x = np.random.default_rng(41).normal(size=300)
         g1, z, p = dagostino_skewness(x)
         sg1, sz, sp = dagostino_skewness(x * scale)
@@ -374,8 +403,7 @@ class TestGaussianGate:
     """The verdict behind the Gaussian overlay: both p-values at or above alpha.
 
     ``analyze_feature`` draws the overlay exactly when ``feature_report``'s
-    dip and skewness p-values both reach alpha, and drops the report when the
-    skewness is undefined.
+    dip and skewness p-values both reach alpha.
     """
 
     def test_normal_passes(self):
@@ -419,13 +447,14 @@ class TestGaussianGate:
         assert 0.5 / 500 <= r.dip_d <= 0.25
         assert r.dip_p >= 1 / 251
 
-    def test_underflowing_spread_returns_none_report(self):
-        # m2 of 300 normals scaled by 1e-170 underflows to 0: skewness is NaN
-        f = FeatureSeries("tiny", np.random.default_rng(9).normal(size=300) * 1e-170)
-        assert np.isnan(feature_report(f, B=50, seed=1).skew_p)
-        glyph = analyze_feature(f, EngineConfig(replicates=50, seed=1))
-        assert glyph.kind == "density"
-        assert glyph.report is None and glyph.gaussian_overlay is None
+    def test_tiny_spread_tests_like_unscaled(self):
+        # 300 normals times 2**-565 (about 1e-170): the squared deviations
+        # underflow unless the moments are taken on the power-of-two-scaled sample
+        x = np.random.default_rng(9).normal(size=300)
+        tiny = np.ldexp(x, -565)
+        assert dagostino_skewness(tiny) == dagostino_skewness(x)
+        glyph = analyze_feature(FeatureSeries("tiny", tiny), EngineConfig(replicates=50, seed=1))
+        assert glyph.kind == "density" and glyph.report is not None
 
 
 class TestFeatureReport:
