@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 from .density import (
     DensityCurve,
-    PdeConfig,
     pareto_radius,
     pde_estimate,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "GlyphModel",
     "NoPlottableFeatures",
     "Ordering",
-    "PdeConfig",
     "PlotModel",
     "ScalingMode",
     "SkewSpec",

@@ -13,24 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRange, ConstantFeature, TooFewPoints
-from .stats_core import finite_values, seeded_subsample
+from .stats_core import finite_values, seeded_subsample, unit_scaled
 
 PARETO_QUANTILE = 0.18  # of the pairwise distances; a neighborhood holds ~20% of the data
 LARGE_N_THRESHOLD = 1024  # above it the radius shrinks by (n/threshold)^(-1/5)
 GRID_MIN = 64
 GRID_MAX = 2048
 SPACING_DIVISOR = 4.0  # kernel spacing is radius / SPACING_DIVISOR
-
-
-@dataclass(frozen=True)
-class PdeConfig:
-    """Above ``distance_sample_cap`` points the radius is taken on a seeded subsample."""
-
-    distance_sample_cap: int = 5000
-
-    def __post_init__(self):
-        if self.distance_sample_cap < 2:
-            raise ValueError("distance_sample_cap must be at least 2")
+DISTANCE_SAMPLE_CAP = 5000  # above it the radius is taken on a seeded subsample
 
 
 @dataclass(frozen=True)
@@ -156,10 +146,10 @@ def _pair_diff_ranks(xs: np.ndarray, k: int) -> tuple[float, float]:
     return float(vals[k - c_lo]), float(vals[k + 1 - c_lo])
 
 
-def pareto_radius(values, cfg: PdeConfig = PdeConfig(), seed: int = 0) -> float:
+def pareto_radius(values, seed: int = 0) -> float:
     """Neighborhood radius: the ``PARETO_QUANTILE`` of pairwise distances.
 
-    Above ``distance_sample_cap`` points the distances are taken on a seeded
+    Above ``DISTANCE_SAMPLE_CAP`` points the distances are taken on a seeded
     uniform subsample. The quantile is ``np.quantile``'s linear one over all
     m(m-1)/2 differences, found by exact selection in O(m) memory. A zero
     quantile (heavy ties) escalates to the smallest strictly positive
@@ -176,7 +166,7 @@ def pareto_radius(values, cfg: PdeConfig = PdeConfig(), seed: int = 0) -> float:
         raise ConstantFeature("all values identical; no radius exists")
     if not float(x.max()) - float(x.min()) < math.inf:
         raise BadRange("the value range overflows the float range")
-    cap = cfg.distance_sample_cap
+    cap = DISTANCE_SAMPLE_CAP
     sample = np.sort(seeded_subsample(x, cap, seed) if n > cap else x)
     pairs = sample.size * (sample.size - 1) // 2
     if pairs == 1:
@@ -219,12 +209,13 @@ def pde_estimate(values, seed: int = 0) -> DensityCurve:
     if np.any(np.diff(kernels) <= 0):
         raise BadRange(f"[{lo!r}, {hi!r}] holds fewer than {m} distinct floats")
     xs = np.sort(x)
-    counts = (
-        np.searchsorted(xs, kernels + r, side="right")
-        - np.searchsorted(xs, kernels - r, side="left")
-    ).astype(float)
-    with np.errstate(over="ignore", divide="ignore"):
-        densities = counts / _trapezoid(counts, kernels)
+    unit, e = unit_scaled(kernels)  # a range near the float limit must not overflow the integral
+    with np.errstate(over="ignore", divide="ignore"):  # kernels + r may overflow to inf: all count
+        counts = (
+            np.searchsorted(xs, kernels + r, side="right")
+            - np.searchsorted(xs, kernels - r, side="left")
+        ).astype(float)
+        densities = np.ldexp(counts / _trapezoid(counts, unit), -e)
     if not np.all(np.isfinite(densities)):
         raise BadRange(f"[{lo!r}, {hi!r}] is too narrow for a unit-mass density")
     return DensityCurve(kernels=kernels, densities=densities, radius=r)

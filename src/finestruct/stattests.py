@@ -158,10 +158,14 @@ def _dip_sorted(x: list) -> float:
             xjb = x[jb]
             if je - jb > 1 and x[je] != xjb:
                 c = (je - jb) / (x[je] - xjb)
-                for jj in range(jb, je + 1):
-                    t = (jj - jb + 1) - (x[jj] - xjb) * c
-                    if max_t < t:
-                        max_t = t
+                if c == math.inf:  # a gap of a few subnormals: the ratios to it stay bounded
+                    max_t = max(max_t, *[(jj - jb + 1) - (x[jj] - xjb) / (x[je] - xjb) * (je - jb)
+                                         for jj in range(jb, je + 1)])
+                else:
+                    for jj in range(jb, je + 1):
+                        t = (jj - jb + 1) - (x[jj] - xjb) * c
+                        if max_t < t:
+                            max_t = t
             if dip_l < max_t:
                 dip_l = max_t
         # dip of the concave majorant
@@ -173,10 +177,14 @@ def _dip_sorted(x: list) -> float:
             xjb = x[jb]
             if je - jb > 1 and x[je] != xjb:
                 c = (je - jb) / (x[je] - xjb)
-                for jj in range(jb, je + 1):
-                    t = (x[jj] - xjb) * c - (jj - jb - 1)
-                    if max_t < t:
-                        max_t = t
+                if c == math.inf:
+                    max_t = max(max_t, *[(x[jj] - xjb) / (x[je] - xjb) * (je - jb) - (jj - jb - 1)
+                                         for jj in range(jb, je + 1)])
+                else:
+                    for jj in range(jb, je + 1):
+                        t = (x[jj] - xjb) * c - (jj - jb - 1)
+                        if max_t < t:
+                            max_t = t
             if dip_u < max_t:
                 dip_u = max_t
 

@@ -6,7 +6,6 @@ import pytest
 from _oracles import neighborhood_fraction, pareto_radius_oracle
 from finestruct import (
     ConstantFeature,
-    PdeConfig,
     TooFewPoints,
     pareto_radius,
     pde_estimate,
@@ -63,9 +62,8 @@ class TestParetoRadius:
     def test_subsample_deterministic(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=9000)
-        cfg = PdeConfig(distance_sample_cap=500)
-        assert pareto_radius(x, cfg, seed=3) == pareto_radius(x, cfg, seed=3)
-        assert pareto_radius(x, cfg, seed=3) != pareto_radius(x, cfg, seed=4)
+        assert pareto_radius(x, seed=3) == pareto_radius(x, seed=3)
+        assert pareto_radius(x, seed=3) != pareto_radius(x, seed=4)
 
     @pytest.mark.parametrize("kind", list(_SELECTION_DATA))
     @pytest.mark.parametrize("n", [1000, 5000, 12000])
@@ -202,12 +200,6 @@ class TestPdeEstimate:
         assert np.array_equal(c1.kernels, c2.kernels)
         assert np.array_equal(c1.densities, c2.densities)
         assert c1.radius == c2.radius
-
-    def test_config_validation(self):
-        # a subsample of one point has no pairwise distance
-        for cap in (0, 1):
-            with pytest.raises(ValueError):
-                PdeConfig(distance_sample_cap=cap)
 
 
 class TestNeighborhoodFraction:

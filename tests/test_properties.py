@@ -3,6 +3,7 @@
 Samples mix sizes from 2 to 400, heavy ties, magnitudes from 1e-300 to 1e300
 and offsets up to 1e17. Each example is built from a drawn seed with numpy,
 so a failing example shrinks to a small (n, scale, offset, ties, seed) tuple.
+The dip's mirror property also draws multiples of 5e-324 beside values near 1.
 The CLI properties draw whole CSV files instead: cells, names and row shapes.
 """
 import contextlib
@@ -13,18 +14,19 @@ import os
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import dip_lp_oracle, pareto_radius_oracle
 from finestruct import (
+    BadRange,
     ConstantFeature,
     FeatureSeries,
     FineStructError,
-    PdeConfig,
     ScalingMode,
     dagostino_skewness,
     describe,
@@ -32,6 +34,7 @@ from finestruct import (
     pareto_radius,
     pde_estimate,
 )
+from finestruct import density
 from finestruct.cli import main
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=500, deadline=None, database=None)
@@ -67,12 +70,12 @@ def test_pde_support_and_unit_mass(x):
 @given(extreme_samples(), st.sampled_from([2, 7, 60, 5000]), st.integers(0, 2**32 - 1))
 def test_pareto_radius_matches_oracle(x, cap, seed):
     # caps below n run the seeded subsample, and cap 2 its constant-subsample fallback
-    cfg = PdeConfig(distance_sample_cap=cap)
-    if x.min() == x.max() or not float(x.max()) - float(x.min()) < math.inf:
-        with pytest.raises(FineStructError):
-            pareto_radius(x, cfg, seed)
-        return
-    assert pareto_radius(x, cfg, seed) == pareto_radius_oracle(x, cap, seed)
+    with mock.patch.object(density, "DISTANCE_SAMPLE_CAP", cap):
+        if x.min() == x.max() or not float(x.max()) - float(x.min()) < math.inf:
+            with pytest.raises(FineStructError):
+                pareto_radius(x, seed)
+            return
+        assert pareto_radius(x, seed) == pareto_radius_oracle(x, cap, seed)
 
 
 @PROPERTY_SETTINGS
@@ -115,6 +118,57 @@ def test_power_of_two_scaling_leaves_statistics_unchanged(x, data):
     # D, g1, z and p depend only on the power-of-two-scaled sample
     k = data.draw(_normal_shifts(x), label="k")
     assert _dip_and_skewness(np.ldexp(x, k)) == _dip_and_skewness(x)
+
+
+def _normal(a) -> bool:
+    """Whether no nonzero value of ``a`` is subnormal."""
+    a = np.abs(np.asarray(a))
+    return bool(np.all((a == 0) | (a >= np.finfo(float).tiny)))
+
+
+@PROPERTY_SETTINGS
+@given(extreme_samples(max_n=4000), st.integers(0, 2**32 - 1), st.data())
+def test_power_of_two_scaling_scales_the_density(x, seed, data):
+    # x * 2**k scales the radius and the kernels by 2**k and the densities by
+    # 2**-k, bit for bit, wherever all of them stay normal floats
+    k = data.draw(_normal_shifts(x), label="k")
+    y = np.ldexp(x, k)
+    try:
+        r = pareto_radius(x, seed)
+        r_y = pareto_radius(y, seed)
+    except FineStructError:
+        return
+    assume(_normal([r, r_y]))
+    assert r_y == np.ldexp(r, k)
+    try:
+        curve = pde_estimate(x, seed)
+    except BadRange:  # the range holds too few floats for the grid, at any scale
+        with pytest.raises(BadRange):
+            pde_estimate(y, seed)
+        return
+    curve_y = pde_estimate(y, seed)
+    assume(all(map(_normal, [curve.kernels, curve_y.kernels, curve.densities, curve_y.densities])))
+    assert np.array_equal(curve_y.kernels, np.ldexp(curve.kernels, k))
+    assert np.array_equal(curve_y.densities, np.ldexp(curve.densities, -k))
+
+
+@st.composite
+def subnormal_mixes(draw) -> np.ndarray:
+    """Multiples of 5e-324 beside values of magnitude 0.1 to 1, of either sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tiny = 5e-324 * rng.integers(-40, 41, size=draw(st.integers(0, 60)))
+    unit = rng.uniform(0.1, 1.0, size=draw(st.integers(max(0, 2 - tiny.size), 60)))
+    signs = draw(st.sampled_from([(1.0,), (-1.0,), (1.0, -1.0)]))
+    return np.concatenate([tiny, unit * rng.choice(signs, size=unit.size)])
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(extreme_samples(), subnormal_mixes()))
+def test_dip_bounds_and_mirror_symmetry(x):
+    # 1/(2n) <= D <= 1/4, and D(-x) equals D(x) but for rounding
+    d = dip_statistic(x)
+    assert 0.5 / x.size <= d <= 0.25
+    assert abs(dip_statistic(-x) - d) <= 1e-12 * d
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)

@@ -139,6 +139,15 @@ class TestDipStatistic:
         clusters = v * 1.5e-3  # times 1e308, a range near 3e308 overflows
         assert dip_statistic(clusters * 1e308) == pytest.approx(dip_statistic(clusters), rel=1e-9)
 
+    @pytest.mark.parametrize("step", [5e-324, 2.0**-1000, 2.0**-500])
+    def test_subnormal_gap_beside_unit_values(self, step):
+        # 3 zeros, 29 steps and 30 values in [0.1, 1]: at step 5e-324 a chord over
+        # the steps has a slope that overflows the float range, yet its dip is
+        # the 3/124 of the same staircase at normal steps, in either sign
+        x = np.concatenate([np.zeros(3), step * np.arange(1, 30), np.linspace(0.1, 1, 30)])
+        assert dip_statistic(x) == pytest.approx(3 / 124, rel=1e-12)
+        assert dip_statistic(-x) == pytest.approx(3 / 124, rel=1e-12)
+
     def test_affine_invariance_general(self):
         # a general a*x+b rounds the inputs themselves; the dip stays equal
         # to floating-point accuracy
