@@ -175,8 +175,7 @@ def _substream(feature_seed: int, tag: int) -> int:
 
 def subsample(f: FeatureSeries, cap_per_feature: int, seed: int = 0) -> FeatureSeries:
     """Seeded uniform sample without replacement down to the cap."""
-    if cap_per_feature < 1:
-        raise ValueError("cap_per_feature must be at least 1")
+    check_count("cap_per_feature", cap_per_feature)
     if len(f) <= cap_per_feature:
         return f
     return f.with_values(seeded_subsample(f.values, cap_per_feature, seed))

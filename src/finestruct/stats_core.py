@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass
 
@@ -56,7 +57,11 @@ class FeatureSeries:
 
 
 def check_count(name: str, count: int) -> None:
-    """BadSpec unless 1 <= count <= MAX_COUNT, a count of float64 values to draw."""
+    """BadSpec unless count is an integer in [1, MAX_COUNT], a count of float64 values to draw."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise BadSpec(f"{name} must be an integer") from None
     if count < 1:
         raise BadSpec(f"{name} must be at least 1")
     if count > MAX_COUNT:

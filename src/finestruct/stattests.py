@@ -75,6 +75,22 @@ def _minorant_starts(x: list) -> list:
     return mn
 
 
+def _chord_gaps(x: list, jb: int, je: int, off: int) -> list:
+    """(jj - jb + off) - (x[jj] - x[jb]) * c for jb <= jj <= je, c the chord's slope.
+
+    c = (je - jb) / (x[je] - x[jb]) in ECDF steps per unit of x, x sorted. Over
+    a gap of a few subnormals beside values near 1, c overflows; the bounded
+    ratios (x[jj] - x[jb]) / (x[je] - x[jb]) then stand in for x[jj] - x[jb]
+    times c, so every gap stays finite.
+    """
+    xjb = x[jb]
+    c = (je - jb) / (x[je] - xjb)
+    if c == math.inf:
+        span = x[je] - xjb
+        return [(jj - jb + off) - (x[jj] - xjb) / span * (je - jb) for jj in range(jb, je + 1)]
+    return [(jj - jb + off) - (x[jj] - xjb) * c for jj in range(jb, je + 1)]
+
+
 def _dip_sorted(x: list) -> float:
     """Dip of an ascending-sorted sample, given as a list of floats.
 
@@ -97,25 +113,17 @@ def _dip_sorted(x: list) -> float:
     # floats with both signs flipped, so mj is exact
     mj = [n - 1 - m for m in reversed(_minorant_starts([-v for v in reversed(x)]))]
 
-    gcm = [0] * n
-    lcm = [0] * n
     while True:
-        gcm[0] = high
-        i = 0
-        while gcm[i] > low:
-            gcm[i + 1] = mn[gcm[i]]
-            i += 1
-        ig = i
-        l_gcm = i
+        gcm = [high]  # minorant knots, from high down to low
+        while gcm[-1] > low:
+            gcm.append(mn[gcm[-1]])
+        l_gcm = ig = len(gcm) - 1
         ix = ig - 1
 
-        lcm[0] = low
-        i = 0
-        while lcm[i] < high:
-            lcm[i + 1] = mj[lcm[i]]
-            i += 1
-        ih = i
-        l_lcm = i
+        lcm = [low]  # majorant knots, from low up to high
+        while lcm[-1] < high:
+            lcm.append(mj[lcm[-1]])
+        l_lcm = ih = len(lcm) - 1
         iv = 1
 
         # largest distance between the two fits, walked from both ends
@@ -149,46 +157,20 @@ def _dip_sorted(x: list) -> float:
         if d < dip:
             break
 
-        # dip of the convex minorant within the current modal interval
-        dip_l = 0.0
+        # dip of each chord of the two fits within the modal interval: the
+        # ECDF's largest rise above a minorant chord, from one step up, and its
+        # largest fall below a majorant chord, from one step down (negating the
+        # gaps is exact, since fl(a - b) == -fl(b - a))
+        dip_new = 0.0
         for j in range(ig, l_gcm):
-            max_t = 1.0
-            jb = gcm[j + 1]
-            je = gcm[j]
-            xjb = x[jb]
-            if je - jb > 1 and x[je] != xjb:
-                c = (je - jb) / (x[je] - xjb)
-                if c == math.inf:  # a gap of a few subnormals: the ratios to it stay bounded
-                    max_t = max(max_t, *[(jj - jb + 1) - (x[jj] - xjb) / (x[je] - xjb) * (je - jb)
-                                         for jj in range(jb, je + 1)])
-                else:
-                    for jj in range(jb, je + 1):
-                        t = (jj - jb + 1) - (x[jj] - xjb) * c
-                        if max_t < t:
-                            max_t = t
-            if dip_l < max_t:
-                dip_l = max_t
-        # dip of the concave majorant
-        dip_u = 0.0
+            jb, je = gcm[j + 1], gcm[j]
+            if je - jb > 1 and x[je] != x[jb]:
+                dip_new = max(dip_new, max(_chord_gaps(x, jb, je, 1)))
         for j in range(ih, l_lcm):
-            max_t = 1.0
-            jb = lcm[j]
-            je = lcm[j + 1]
-            xjb = x[jb]
-            if je - jb > 1 and x[je] != xjb:
-                c = (je - jb) / (x[je] - xjb)
-                if c == math.inf:
-                    max_t = max(max_t, *[(x[jj] - xjb) / (x[je] - xjb) * (je - jb) - (jj - jb - 1)
-                                         for jj in range(jb, je + 1)])
-                else:
-                    for jj in range(jb, je + 1):
-                        t = (x[jj] - xjb) * c - (jj - jb - 1)
-                        if max_t < t:
-                            max_t = t
-            if dip_u < max_t:
-                dip_u = max_t
+            jb, je = lcm[j], lcm[j + 1]
+            if je - jb > 1 and x[je] != x[jb]:
+                dip_new = max(dip_new, -min(_chord_gaps(x, jb, je, -1)))
 
-        dip_new = dip_u if dip_u > dip_l else dip_l
         if dip < dip_new:
             dip = dip_new
         if low == gcm[ig] and high == lcm[ih]:
@@ -306,6 +288,7 @@ def dip_pvalue_mc(d: float, n: int, B: int, seed: int = 0) -> float:
         raise BadSpec("d must be positive and finite")
     if n < 2:
         raise TooFewPoints("dip p-value needs n >= 2")
+    check_count("n", n)
     check_count("B", B)
     null = _null_dips(int(n), int(B), int(seed) & _SEED_MASK)
     exceed = int(np.count_nonzero(null >= d))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finestruct import (
+    BadSpec,
     EngineConfig,
     FeatureSeries,
     NoPlottableFeatures,
@@ -342,3 +343,7 @@ class TestBuildPlotModel:
             EngineConfig(sample_size_cap=10, min_data=50)
         with pytest.raises(ValueError):
             EngineConfig(alpha=0.0)
+        with pytest.raises(BadSpec, match="replicates must be an integer"):
+            EngineConfig(replicates=2.5)
+        with pytest.raises(BadSpec, match="cap_per_feature must be at least 1"):
+            subsample(_normal("x", 100, 1), 0)

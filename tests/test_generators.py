@@ -41,6 +41,8 @@ class TestUniform:
             sample_uniform(0, 0, 1, seed=0)
         with pytest.raises(BadSpec, match="at most"):
             sample_uniform(10**20, 0, 1, seed=0)
+        with pytest.raises(BadSpec, match="must be an integer"):
+            sample_uniform(2.5, 0, 1, seed=0)
 
 
 class TestGaussMixture:

@@ -147,6 +147,11 @@ class TestDipStatistic:
         x = np.concatenate([np.zeros(3), step * np.arange(1, 30), np.linspace(0.1, 1, 30)])
         assert dip_statistic(x) == pytest.approx(3 / 124, rel=1e-12)
         assert dip_statistic(-x) == pytest.approx(3 / 124, rel=1e-12)
+        # 21 steps with a gap beside 6 values in [0.1, 1]: here the dip is set by
+        # a chord over the steps, 11/90 (the LP oracle's at step 2**-20)
+        x = np.concatenate([2 * step * np.r_[1:13, 34:43], np.linspace(0.1, 1, 6)])
+        assert dip_statistic(x) == pytest.approx(11 / 90, rel=1e-12)
+        assert dip_statistic(-x) == pytest.approx(11 / 90, rel=1e-12)
 
     def test_affine_invariance_general(self):
         # a general a*x+b rounds the inputs themselves; the dip stays equal
@@ -178,6 +183,8 @@ class TestDipStatistic:
             samples.append(x)
         samples.append(np.full(25, 4.0))
         samples.append(rng.normal(size=11194))
+        # null replicates at the sizes a null table would hold, drawn as _null_range draws
+        samples += [np.random.default_rng(np.random.SeedSequence((0, 0))).random(n) for n in (20_000, 50_000)]
         for x in samples:
             s = np.sort(x)
             assert _dip_sorted(s.tolist()) == dip_sorted_reference(s)
@@ -348,6 +355,11 @@ class TestDipPvalue:
             dip_pvalue_mc(0.1, 1, 10)
         with pytest.raises(BadSpec, match="at most"):  # 8·B bytes over sys.maxsize
             dip_pvalue_mc(0.1, 100, MAX_COUNT + 1)
+        with pytest.raises(BadSpec, match="B must be an integer"):
+            dip_pvalue_mc(0.1, 50, 1.9)
+        with pytest.raises(BadSpec, match="n must be an integer"):
+            dip_pvalue_mc(0.1, 50.9, 10)
+        assert dip_pvalue_mc(0.1, np.int64(50), np.int32(10)) == dip_pvalue_mc(0.1, 50, 10)
 
 
 class TestDagostinoSkewness:
