@@ -124,9 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--ordering", type=Ordering, choices=list(Ordering), help="column ordering")
     plot.add_argument("--sample-size", dest="sample_size_cap", type=int,
                       help="total cell budget before subsampling")
-    plot.add_argument("--min-data", type=int, help="minimum values for density estimation")
+    plot.add_argument("--min-data", type=int,
+                      help="minimum values for density estimation (at least 9)")
     plot.add_argument("--min-unique", type=int,
-                      help="minimum unique values for density estimation")
+                      help="minimum unique values for density estimation (at least 2)")
     plot.add_argument("--alpha", type=float, help="test level for the Gaussian gate")
     plot.add_argument("--replicates", type=int, help="Monte Carlo replicates")
     plot.add_argument("--no-gaussian", dest="robust_gaussian", action="store_false",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityCurve, pde_estimate
-from .errors import BadSpec, DegenerateSpread, FineStructError, NoPlottableFeatures, TooFewPoints
+from .errors import BadSpec, DegenerateSpread, FineStructError, NoPlottableFeatures
 from .stats_core import (
     DescriptiveStats,
     FeatureSeries,
@@ -32,7 +32,7 @@ from .stats_core import (
     seeded_subsample,
     transform,
 )
-from .stattests import TestReport, feature_report
+from .stattests import MIN_SKEW_N, TestReport, feature_report
 
 JITTER_HALF_WIDTH = 0.3  # jitter offsets live in [-0.3, 0.3] column widths
 
@@ -67,15 +67,16 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.min_data < 2:
-            raise BadSpec("min_data must be at least 2")
-        if self.min_unique < 1:
-            raise BadSpec("min_unique must be at least 1")
+        for name in ("sample_size_cap", "min_data", "min_unique", "replicates"):
+            check_count(name, getattr(self, name))
+        if self.min_data < MIN_SKEW_N:  # every density glyph gets both tests
+            raise BadSpec(f"min_data must be at least {MIN_SKEW_N}")
+        if self.min_unique < 2:  # a constant feature is a Dirac line
+            raise BadSpec("min_unique must be at least 2")
         if self.sample_size_cap < self.min_data:
             raise BadSpec("sample_size_cap must be at least min_data")
         if not 0.0 < self.alpha < 1.0:
             raise BadSpec("alpha must be in (0, 1)")
-        check_count("replicates", self.replicates)
 
 
 @dataclass(frozen=True)
@@ -209,9 +210,7 @@ def _box_overlay(stats: DescriptiveStats, values: np.ndarray) -> BoxOverlay:
     return BoxOverlay(stats.q25, stats.median, stats.q75, lo, hi)
 
 
-def _shape_class(report: TestReport | None, alpha: float) -> str:
-    if report is None:
-        return "GaussianLike"
+def _shape_class(report: TestReport, alpha: float) -> str:
     if report.dip_p < alpha:
         return "Nonunimodal"
     if report.skew_p < alpha:
@@ -226,8 +225,7 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
     (a Dirac line when only one unique value exists); everything else gets a
     density glyph with tests, and optionally the Gaussian and box overlays.
     The Gaussian overlay needs a report whose shape class is GaussianLike,
-    i.e. neither test rejects at level alpha; the report is None when the
-    tests cannot run on too few points.
+    i.e. neither test rejects at level alpha.
     """
     stats = describe(f)
     n_unique = int(np.unique(f.values).size)
@@ -240,13 +238,10 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
                           offsets=_jitter_offsets(len(f), feature_seed))
 
     curve = pde_estimate(f.values, seed=_substream(feature_seed, _TAG_PDE))
-    try:
-        report = feature_report(f, cfg.replicates, cfg.seed)
-    except TooFewPoints:
-        report = None
+    report = feature_report(f, cfg.replicates, cfg.seed)
     shape_class = _shape_class(report, cfg.alpha)
     overlay = None
-    if cfg.robust_gaussian and report is not None and shape_class == "GaussianLike":
+    if cfg.robust_gaussian and shape_class == "GaussianLike":
         try:
             mu, sigma = robust_gaussian_fit(stats)
         except DegenerateSpread:
@@ -275,7 +270,7 @@ def order_features(glyphs, mode: Ordering) -> list[int]:
 
     def key(i):
         a = glyphs[i]
-        if a.shape_class == "Discrete" or a.report is None:
+        if a.report is None:
             return (1, 0.0, 0.0, a.feature)
         return (0, -a.report.dip_p, abs(a.report.skew_z), a.feature)
 

@@ -33,6 +33,7 @@ from .stats_core import FeatureSeries, check_count, finite_values, moments, unit
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 SKEW_UNDEFINED = "skewness undefined for a constant sample"
+MIN_SKEW_N = 9  # fewest values the skewness test's Johnson S_U fit accepts
 # Forking, exiting and reaping one null worker costs 5-7 ms of wall time and
 # of CPU in a process that has imported finestruct.cli, and 20 000 points of
 # null dips take 23-42 ms (n = 1000 and 500; 2-core VM); a null is split only
@@ -306,8 +307,8 @@ def dagostino_skewness(values) -> tuple[float, float, float]:
     """
     x = finite_values(values)
     n = x.size
-    if n < 9:
-        raise TooFewPoints(f"skewness test needs n >= 9, got {n}")
+    if n < MIN_SKEW_N:
+        raise TooFewPoints(f"skewness test needs n >= {MIN_SKEW_N}, got {n}")
     _, g1, _ = moments(x)
     if math.isnan(g1):
         raise ConstantFeature(SKEW_UNDEFINED)

@@ -486,6 +486,9 @@ EXIT_CASES = {
     "plot-subnormal-range": (["plot", "sub.csv", "-o", "o.svg", "--replicates", "9"], 0),
     "test-subnormal-scale": (["test", "tiny.csv", "t", "--replicates", "9"], 0),
     "plot-replicates-1e20": (["plot", "in.csv", "-o", "o.svg", "--replicates", _HUGE], 2),
+    "plot-sample-size-1e20": ([*_PLOT, "--sample-size", _HUGE], 2),
+    "plot-min-data-8": ([*_PLOT, "--min-data", "8"], 2),
+    "plot-min-unique-1": ([*_PLOT, "--min-unique", "1"], 2),
     "test-replicates-1e20": (["test", "in.csv", "a", "--replicates", _HUGE], 2),
     "gen-uniform-n-1e20": (["gen", "uniform", "0", "1", "--n", _HUGE], 2),
     "gen-gaussmix-n-1e20": (["gen", "gaussmix", "0:1:1", "--n", _HUGE], 2),

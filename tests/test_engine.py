@@ -345,5 +345,15 @@ class TestBuildPlotModel:
             EngineConfig(alpha=0.0)
         with pytest.raises(BadSpec, match="replicates must be an integer"):
             EngineConfig(replicates=2.5)
+        for field, value, message in [
+            ("sample_size_cap", 1000.5, "sample_size_cap must be an integer"),
+            ("min_data", 9.5, "min_data must be an integer"),
+            ("min_unique", 2.5, "min_unique must be an integer"),
+            ("min_data", 8, "min_data must be at least 9"),
+            ("min_unique", 1, "min_unique must be at least 2"),
+        ]:
+            with pytest.raises(BadSpec, match=message):
+                EngineConfig(**{field: value})
+        EngineConfig(min_data=9, min_unique=2, sample_size_cap=9)
         with pytest.raises(BadSpec, match="cap_per_feature must be at least 1"):
             subsample(_normal("x", 100, 1), 0)

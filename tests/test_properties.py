@@ -229,10 +229,11 @@ def csv_texts(draw) -> str:
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(csv_texts(), st.sampled_from([m.value for m in ScalingMode]),
-       st.sampled_from(["10", "50"]), st.booleans())
+       st.sampled_from(["9", "10", "50"]), st.booleans())
 def test_cli_on_any_csv_text(text, scaling, min_data, boxplot):
-    # exit 0, 2 or 3 and no exception; on 0 a parseable, finite SVG, and the
-    # same SVG and report bytes from a second run
+    # exit 0, 2 or 3 and no exception; on 0 a parseable, finite SVG, a test
+    # report on every density glyph, and the same SVG and report bytes from a
+    # second run
     with tempfile.TemporaryDirectory() as tmp:
         src = os.path.join(tmp, "in.csv")
         with open(src, "w", encoding="utf-8", newline="") as fh:
@@ -250,6 +251,9 @@ def test_cli_on_any_csv_text(text, scaling, min_data, boxplot):
                 outputs.append((fh.read(), rf.read()))
         svg_bytes = outputs[0][0]
         ET.fromstring(svg_bytes)
+        for feature in json.loads(outputs[0][1])["features"]:
+            if feature["glyph"] == "density":
+                assert feature["test"] is not None
         assert b"nan" not in svg_bytes and b"inf" not in svg_bytes
         assert outputs[0] == outputs[1]
 
