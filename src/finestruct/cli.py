@@ -34,7 +34,7 @@ from .generators import (
     sample_uniform,
 )
 from .render import render_svg
-from .stats_core import FeatureSeries, ScalingMode, check_count, quantile
+from .stats_core import FeatureSeries, ScalingMode, check_count, describe, quantile
 from .stattests import (
     SKEW_UNDEFINED, _null_dips, _null_workers, dagostino_skewness, dip_pvalue_mc,
     dip_statistic, feature_report,
@@ -272,7 +272,7 @@ def cmd_test(args) -> int:
     if args.column not in by_name:
         raise CsvError(f"column {args.column!r} not found (have: {', '.join(by_name)})")
     f = by_name[args.column]
-    r = feature_report(f, args.replicates, args.seed)
+    r = feature_report(f, describe(f), args.replicates, args.seed)
     diagnostic = f"ConstantFeature: {SKEW_UNDEFINED}" if math.isnan(r.skew_g1) else None
     if args.json:
         out = {"feature": f.name, "n": len(f), "missing": f.missing_count,

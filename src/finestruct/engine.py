@@ -238,7 +238,7 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
                           offsets=_jitter_offsets(len(f), feature_seed))
 
     curve = pde_estimate(f.values, seed=_substream(feature_seed, _TAG_PDE))
-    report = feature_report(f, cfg.replicates, cfg.seed)
+    report = feature_report(f, stats, cfg.replicates, cfg.seed)
     shape_class = _shape_class(report, cfg.alpha)
     overlay = None
     if cfg.robust_gaussian and shape_class == "GaussianLike":

@@ -13,8 +13,8 @@ uniform null, which depends only on (seed, n, B) (Hartigan & Hartigan 1985):
 seed and B reuses one null, and splits it across the usable CPUs with ``fork``
 without changing a byte: each forked worker writes its replicates into one
 anonymous shared mapping. ``feature_report`` records that seed in
-``TestReport.seed``. Skewness uses the classic transformation of g1 to an
-approximately standard-normal z.
+``TestReport.seed``. Skewness uses the classic transformation of g1 (from
+``describe`` in ``feature_report``) to an approximately standard-normal z.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BadSpec, ConstantFeature, TooFewPoints
-from .stats_core import FeatureSeries, check_count, finite_values, moments, unit_scaled
+from .stats_core import DescriptiveStats, FeatureSeries, check_count, finite_values, moments, unit_scaled
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 SKEW_UNDEFINED = "skewness undefined for a constant sample"
@@ -296,22 +296,10 @@ def dip_pvalue_mc(d: float, n: int, B: int, seed: int = 0) -> float:
     return (1 + exceed) / (B + 1)
 
 
-def dagostino_skewness(values) -> tuple[float, float, float]:
-    """Skewness test: returns (g1, z, two-sided p).
-
-    g1 = m3/m2^1.5 (``stats_core.moments``, with exact sums, so it equals
-    ``describe``'s ``skewness_g1`` in any row order) is
-    transformed to an approximately N(0,1) statistic via the Johnson S_U fit
-    to its null distribution; needs n >= 9. Raises ConstantFeature when g1 is
-    undefined, BadSpec when a value is NaN or infinite.
-    """
-    x = finite_values(values)
-    n = x.size
+def _skew_z(g1: float, n: int) -> tuple[float, float]:
+    """(z ~ N(0,1), two-sided p) of g1 in n >= 9 values via the Johnson S_U fit; NaN for a NaN g1."""
     if n < MIN_SKEW_N:
         raise TooFewPoints(f"skewness test needs n >= {MIN_SKEW_N}, got {n}")
-    _, g1, _ = moments(x)
-    if math.isnan(g1):
-        raise ConstantFeature(SKEW_UNDEFINED)
     y = g1 * math.sqrt((n + 1.0) * (n + 3.0) / (6.0 * (n - 2.0)))
     beta2 = (
         3.0 * (n * n + 27.0 * n - 70.0) * (n + 1.0) * (n + 3.0)
@@ -321,23 +309,32 @@ def dagostino_skewness(values) -> tuple[float, float, float]:
     delta = 1.0 / math.sqrt(math.log(math.sqrt(w2)))
     alpha = math.sqrt(2.0 / (w2 - 1.0))
     z = delta * math.asinh(y / alpha)
-    p = math.erfc(abs(z) / math.sqrt(2.0))
+    return z, math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def dagostino_skewness(values) -> tuple[float, float, float]:
+    """Skewness test of a sample: (g1, z, two-sided p), g1 = m3/m2^1.5 by ``stats_core.moments``.
+
+    Raises TooFewPoints below 9 values, ConstantFeature when g1 is undefined
+    (a constant sample) and BadSpec when a value is NaN or infinite.
+    """
+    x = finite_values(values)
+    g1 = moments(x)[1] if x.size else math.nan  # moments needs a value
+    z, p = _skew_z(g1, x.size)
+    if math.isnan(g1):
+        raise ConstantFeature(SKEW_UNDEFINED)
     return g1, z, p
 
 
-def feature_report(f: FeatureSeries, B: int = 2000, seed: int = 0) -> TestReport:
+def feature_report(f: FeatureSeries, stats: DescriptiveStats, B: int = 2000, seed: int = 0) -> TestReport:
     """Dip test (B Monte Carlo replicates) and skewness test of one feature.
 
-    The skewness fields are NaN only when the sample is constant (min == max).
-    Raises TooFewPoints below 2 values for the dip and below 9 for the
-    skewness.
+    ``stats`` is ``describe(f)``; the skewness test reads its g1. The skewness
+    fields are NaN only when the sample is constant (min == max). Raises
+    TooFewPoints below 2 values for the dip and below 9 for the skewness.
     """
     d = dip_statistic(f.values)
     dip_p = dip_pvalue_mc(d, len(f), B, seed)
-    try:
-        g1, z, skew_p = dagostino_skewness(f.values)
-    except ConstantFeature:
-        g1 = z = skew_p = float("nan")
-    return TestReport(n=len(f), dip_d=d, dip_p=dip_p, dip_replicates=B,
-                      skew_g1=g1, skew_z=z, skew_p=skew_p, seed=seed)
-
+    z, skew_p = _skew_z(stats.skewness_g1, stats.n)
+    return TestReport(n=stats.n, dip_d=d, dip_p=dip_p, dip_replicates=B,
+                      skew_g1=stats.skewness_g1, skew_z=z, skew_p=skew_p, seed=seed)

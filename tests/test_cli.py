@@ -490,6 +490,10 @@ EXIT_CASES = {
     "plot-min-data-8": ([*_PLOT, "--min-data", "8"], 2),
     "plot-min-unique-1": ([*_PLOT, "--min-unique", "1"], 2),
     "test-replicates-1e20": (["test", "in.csv", "a", "--replicates", _HUGE], 2),
+    "test-no-finite-cell": (["test", "missing.csv", "a", "--replicates", "9"], 2),
+    "test-one-value": (["test", "one.csv", "a", "--replicates", "9"], 2),
+    "test-eight-values": (["test", "eight.csv", "a", "--replicates", "9"], 2),
+    "test-constant-60": (["test", "const.csv", "a", "--replicates", "9"], 0),
     "gen-uniform-n-1e20": (["gen", "uniform", "0", "1", "--n", _HUGE], 2),
     "gen-gaussmix-n-1e20": (["gen", "gaussmix", "0:1:1", "--n", _HUGE], 2),
     "gen-skewnorm-n-1e20": (["gen", "skewnorm", "2", "--n", _HUGE], 2),
@@ -510,6 +514,10 @@ def test_exit_code_policy(tmp_path, monkeypatch, capsys, case):
     tiny = np.random.default_rng(0).normal(size=500) * 1e-310  # overflows the dip's slopes
     Path("tiny.csv").write_text("t\n" + "".join(f"{v!r}\n" for v in tiny.tolist()))
     Path("sub.csv").write_text("s\n" + "0.0\n5e-324\n" * 40 + "1e-323\n" * 20)
+    Path("missing.csv").write_text("a\nnan\n\nNA\n")
+    Path("one.csv").write_text("a\n1.5\n")
+    Path("eight.csv").write_text("a\n" + "".join(f"{v}\n" for v in range(8)))
+    Path("const.csv").write_text("a\n" + "3.25\n" * 60)
     Path("ctrl.csv").write_text("a\x01b\n" + Path("in.csv").read_text().split("\n", 1)[1])
     argv, expected = EXIT_CASES[case]
     assert _exit_code(argv) == expected

@@ -16,6 +16,7 @@ from finestruct import (
     order_features,
     subsample,
 )
+from finestruct import stats_core, stattests
 from finestruct.engine import _van_der_corput
 from finestruct.stattests import _null_dips
 
@@ -150,6 +151,22 @@ class TestAnalyzeFeature:
                 assert glyph.gaussian_overlay is None
             # shape class and glyph kind stay in lockstep
             assert (glyph.shape_class == "Discrete") == (glyph.kind != "density")
+
+    def test_moments_computed_once(self, monkeypatch):
+        # describe's g1 is the one the skewness test reads; no second pass
+        calls = []
+        moments = stats_core.moments
+
+        def counting(x):
+            calls.append(x.size)
+            return moments(x)
+
+        for module in (stats_core, stattests):
+            if getattr(module, "moments", None) is moments:
+                monkeypatch.setattr(module, "moments", counting)
+        glyph = analyze_feature(_normal("n", 200, 11), EngineConfig(replicates=20))
+        assert glyph.kind == "density" and calls == [200]
+        assert glyph.report.skew_g1 == glyph.stats.skewness_g1
 
     def test_large_subsample_exact_cap(self):
         rng = np.random.default_rng(99)

@@ -36,6 +36,7 @@ from finestruct import (
 )
 from finestruct import density
 from finestruct.cli import main
+from finestruct.stattests import _skew_z
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=500, deadline=None, database=None)
 
@@ -83,17 +84,21 @@ def test_pareto_radius_matches_oracle(x, cap, seed):
 def test_skewness_defined_alike(x):
     # describe (sorted order) and the skewness test (given order) share one
     # moments routine; neither warns, g1 is undefined for both or neither,
-    # and where defined both give the same g1 bit for bit
+    # and where defined both give the same g1, z and p bit for bit, whether
+    # the test reads describe's g1 (as feature_report does) or its own
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g1 = describe(FeatureSeries("x", x)).skewness_g1
+        z, p = _skew_z(g1, x.size)
         try:
-            tested_g1 = dagostino_skewness(x)[0]
+            tested = dagostino_skewness(x)
         except ConstantFeature:
-            tested_g1 = None
-    assert (tested_g1 is not None) == (not math.isnan(g1))
-    if tested_g1 is not None:
-        assert tested_g1 == g1
+            tested = None
+    assert (tested is not None) == (not math.isnan(g1))
+    if tested is not None:
+        assert tested == (g1, z, p)
+    else:
+        assert math.isnan(z) and math.isnan(p)
     if x.min() == x.max():
         assert math.isnan(g1)
 

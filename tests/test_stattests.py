@@ -28,7 +28,7 @@ from finestruct import (
 from finestruct import stattests
 from finestruct.cli import main
 from finestruct.stats_core import MAX_COUNT
-from finestruct.stattests import _dip_sorted
+from finestruct.stattests import _dip_sorted, _skew_z
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -395,8 +395,11 @@ class TestDagostinoSkewness:
             assert zn == -z and g1n == -g1
 
     def test_too_few(self):
-        with pytest.raises(TooFewPoints):
-            dagostino_skewness(np.arange(8.0))
+        for call in (lambda: dagostino_skewness(np.arange(8.0)),
+                     lambda: dagostino_skewness([]),
+                     lambda: _skew_z(0.0, 8)):
+            with pytest.raises(TooFewPoints):
+                call()
 
     def test_constant(self):
         with pytest.raises(ConstantFeature):
@@ -429,23 +432,26 @@ class TestGaussianGate:
 
     def test_normal_passes(self):
         x = np.random.default_rng(5).normal(size=2000)
-        report = feature_report(FeatureSeries("n", x), B=500, seed=2)
+        f = FeatureSeries("n", x)
+        report = feature_report(f, describe(f), B=500, seed=2)
         assert report.dip_p >= 0.05 and report.skew_p >= 0.05
 
     def test_bimodal_fails(self):
         rng = np.random.default_rng(6)
         x = np.concatenate([rng.normal(size=2000), rng.normal(4.0, 1, size=2000)])
-        report = feature_report(FeatureSeries("b", x), B=500, seed=2)
+        f = FeatureSeries("b", x)
+        report = feature_report(f, describe(f), B=500, seed=2)
         assert report.dip_p < 0.05
 
     def test_skewed_fails(self):
         x = np.random.default_rng(7).lognormal(size=2000)
-        report = feature_report(FeatureSeries("s", x), B=500, seed=2)
+        f = FeatureSeries("s", x)
+        report = feature_report(f, describe(f), B=500, seed=2)
         assert report.skew_p < 0.05
 
     def test_degenerate_returns_none_report(self):
         f = FeatureSeries("c", np.ones(100))
-        assert np.isnan(feature_report(f, B=50, seed=1).skew_p)
+        assert np.isnan(feature_report(f, describe(f), B=50, seed=1).skew_p)
         assert analyze_feature(f, EngineConfig(replicates=50, seed=1)).report is None
 
     def test_normal_passes_in_most_seeded_runs(self):
@@ -455,13 +461,15 @@ class TestGaussianGate:
         count = 0
         for s in range(100):
             x = np.random.default_rng((321, s)).normal(size=15500)
-            r = feature_report(FeatureSeries("n", x), B=500, seed=999)
+            f = FeatureSeries("n", x)
+            r = feature_report(f, describe(f), B=500, seed=999)
             count += r.dip_p >= 0.05 and r.skew_p >= 0.05
         assert count >= 95
 
     def test_report_fields(self):
         x = np.random.default_rng(8).normal(size=500)
-        r = feature_report(FeatureSeries("f", x), B=250, seed=42)
+        f = FeatureSeries("f", x)
+        r = feature_report(f, describe(f), B=250, seed=42)
         assert r.n == 500
         assert r.dip_replicates == 250
         assert r.seed == 42
@@ -481,18 +489,21 @@ class TestGaussianGate:
 class TestFeatureReport:
     def test_matches_the_separate_tests(self):
         x = np.random.default_rng(10).normal(size=300)
-        r = feature_report(FeatureSeries("f", x), B=100, seed=3)
+        f = FeatureSeries("f", x)
+        r = feature_report(f, describe(f), B=100, seed=3)
         d = dip_statistic(x)
         assert (r.dip_d, r.dip_p) == (d, dip_pvalue_mc(d, 300, 100, 3))
         assert (r.skew_g1, r.skew_z, r.skew_p) == dagostino_skewness(x)
         assert (r.n, r.dip_replicates, r.seed) == (300, 100, 3)
 
     def test_constant_sample_has_nan_skewness(self):
-        r = feature_report(FeatureSeries("c", np.ones(50)), B=20, seed=1)
+        f = FeatureSeries("c", np.ones(50))
+        r = feature_report(f, describe(f), B=20, seed=1)
         assert r.dip_d == 0.5 / 50
         assert np.isnan(r.skew_g1) and np.isnan(r.skew_z) and np.isnan(r.skew_p)
 
     @pytest.mark.parametrize("n", [1, 8])
     def test_too_few_points_raises(self, n):
         with pytest.raises(TooFewPoints):
-            feature_report(FeatureSeries("s", np.arange(float(n))), B=20, seed=1)
+            f = FeatureSeries("s", np.arange(float(n)))
+            feature_report(f, describe(f), B=20, seed=1)
