@@ -30,18 +30,21 @@ GAUSSIAN_COLOR = "magenta"
 BOX_COLOR = "black"
 REFERENCE_LINE_COLOR = "red"
 _NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# one jitter point: what ``_tag`` writes for a circle, filled in by str.format
+_JITTER_CIRCLE = ('<circle cx="{:.2f}" cy="{:.2f}" r="2" fill="' + GLYPH_FILL
+                  + '" fill-opacity="0.7" />')
 
 
 @dataclass(frozen=True)
 class AxisTransform:
-    """Affine map from data-space y values to pixel rows."""
+    """Affine map from data-space y values (a float or an array) to pixel rows."""
 
     y_low: float
     y_high: float
     px_top: float
     px_height: float
 
-    def to_px(self, y: float) -> float:
+    def to_px(self, y: float | np.ndarray) -> float | np.ndarray:
         span = self.y_high - self.y_low
         if span == math.inf:  # halving every term is exact and stays finite
             frac = (self.y_high / 2 - y / 2) / (self.y_high / 2 - self.y_low / 2)
@@ -182,7 +185,7 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
             curve = glyph.curve
             dmax = float(curve.densities.max())
             widths = curve.densities / dmax * half
-            ys = [axis.to_px(v) for v in curve.kernels]
+            ys = axis.to_px(curve.kernels).tolist()
             xs = [cx - wd for wd in widths] + [cx + wd for wd in reversed(widths)]
             pys = ys + list(reversed(ys))
             _tag(out, "polygon", {
@@ -204,14 +207,9 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
             if glyph.box_overlay is not None:
                 _draw_box(out, glyph.box_overlay, cx, colw, axis)
         elif glyph.kind == "jitter":
-            for value, off in zip(glyph.points, glyph.offsets):
-                _tag(out, "circle", {
-                    "cx": _fmt(cx + off * colw),
-                    "cy": _fmt(axis.to_px(float(value))),
-                    "r": "2",
-                    "fill": GLYPH_FILL,
-                    "fill-opacity": "0.7",
-                })
+            xs = (cx + glyph.offsets * colw).tolist()
+            ys = axis.to_px(glyph.points).tolist()
+            out.extend(map(_JITTER_CIRCLE.format, xs, ys))
         else:  # dirac
             py = axis.to_px(glyph.dirac_value)
             _tag(out, "line", {

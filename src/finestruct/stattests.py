@@ -334,7 +334,7 @@ def feature_report(f: FeatureSeries, stats: DescriptiveStats, B: int = 2000, see
     TooFewPoints below 2 values for the dip and below 9 for the skewness.
     """
     d = dip_statistic(f.values)
+    z, skew_p = _skew_z(stats.skewness_g1, stats.n)  # its n check comes before the null
     dip_p = dip_pvalue_mc(d, len(f), B, seed)
-    z, skew_p = _skew_z(stats.skewness_g1, stats.n)
     return TestReport(n=stats.n, dip_d=d, dip_p=dip_p, dip_replicates=B,
                       skew_g1=stats.skewness_g1, skew_z=z, skew_p=skew_p, seed=seed)

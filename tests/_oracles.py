@@ -5,10 +5,13 @@ linear programs over piecewise-linear unimodal CDFs, the dip reference is a
 frozen copy of the earlier ndarray dip kernel, the Pareto radius oracle takes
 the quantile over every pairwise distance by definition, the neighborhood
 fraction counts the points within the radius of each point, the skewness oracle
-re-derives the z transformation step by step in plain math, and the
-skew-normal moment oracle integrates the density numerically.
+re-derives the z transformation step by step in plain math, the
+skew-normal moment oracle integrates the density numerically, and the CSV
+reference reads a file one cell at a time into Python lists.
 """
+import csv
 import math
+from collections import Counter
 
 import numpy as np
 from scipy.integrate import quad
@@ -323,3 +326,40 @@ def skew_normal_moments_quadrature(xi):
     mean = quad(lambda x: x * skew_normal_density(x, xi), -np.inf, np.inf)[0]
     second = quad(lambda x: x * x * skew_normal_density(x, xi), -np.inf, np.inf)[0]
     return mean, math.sqrt(second - mean * mean)
+
+
+def read_csv_reference(path):
+    """[(name, finite values, missing count)] per column, one ``float`` call per cell.
+
+    The per-cell reader the package's chunked one must match: a cell is missing
+    when its row ends before it or when ``float(cell.strip())`` raises or is
+    not finite. Raises ValueError with the package's CsvError message for a
+    missing header, a duplicate name or a row longer than the header.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        names = [h.strip() for h in next(reader, [])]
+        if not any(names):
+            raise ValueError(f"{path} has no header row")
+        dup = next((name for name, count in Counter(names).items() if count > 1), None)
+        if dup is not None:
+            raise ValueError(f"{path} has a duplicate column name {dup!r}")
+        width = len(names)
+        cols = [[] for _ in names]
+        for row in reader:
+            if len(row) > width:
+                raise ValueError(f"{path} line {reader.line_num} has {len(row)} cells, "
+                                 f"the header has {width}")
+            for col, cell in zip(cols, row):
+                try:
+                    col.append(float(cell.strip()))
+                except ValueError:
+                    col.append(math.nan)
+            for col in cols[len(row):]:
+                col.append(math.nan)
+    out = []
+    for name, col in zip(names, cols):
+        arr = np.array(col, dtype=float)
+        keep = np.isfinite(arr)
+        out.append((name, arr[keep], int(arr.size - keep.sum())))
+    return out

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import dip_lp_oracle, pareto_radius_oracle
+from _oracles import dip_lp_oracle, pareto_radius_oracle, read_csv_reference
 from finestruct import (
     BadRange,
     ConstantFeature,
@@ -34,8 +34,8 @@ from finestruct import (
     pareto_radius,
     pde_estimate,
 )
-from finestruct import density
-from finestruct.cli import main
+from finestruct import cli, density
+from finestruct.cli import CsvError, main, read_csv_features
 from finestruct.stattests import _skew_z
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=500, deadline=None, database=None)
@@ -230,6 +230,62 @@ def csv_texts(draw) -> str:
     if shape == "duplicate":
         names.append(names[0])
     return "\n".join([",".join(names), *rows]) + "\n"
+
+
+# cells float() reads after strip ('1_0', Arabic-Indic '١٢', '\x1c3\x1c') or
+# rejects, and quoted cells holding a newline or a comma
+READER_CELLS = st.one_of(ORDINARY_CELLS, st.sampled_from([
+    "", "NA", "nan", "inf", "1_0", "\u0661\u0662", "\x1c3\x1c", " 2 ", "junk",
+    '"3\n"', '"1\n2"', '"1,5"', '"\n"']))
+
+
+@st.composite
+def reader_csv_texts(draw) -> str:
+    """Full, short and blank rows of READER_CELLS, perhaps one too-long row, in any line ending."""
+    width = draw(st.integers(1, 3))
+    rows = [",".join(draw(READER_CELLS) for _ in range(draw(st.integers(0, width))))
+            for _ in range(draw(st.integers(0, 12)))]
+    if rows and draw(st.integers(0, 5)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), ",".join(["1"] * (width + 1)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join([",".join(f"c{j}" for j in range(width)),
+                                                          *rows]) + "\n"
+
+
+def _read_columns(read, path):
+    """Each column's (name, value bytes, missing count) from ``read``, or its error message."""
+    try:
+        return [(name, np.asarray(values).tobytes(), missing)
+                for name, values, missing in read(path)]
+    except (ValueError, CsvError) as exc:
+        return str(exc)
+
+
+def _assert_reader_matches_reference(text):
+    # chunks of 1, 2 and 3 rows put every missing or padded cell at a chunk's
+    # start, middle and end
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        expected = _read_columns(read_csv_reference, path)
+        for chunk in (1, 2, 3, cli._CHUNK_ROWS):
+            with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+                got = _read_columns(
+                    lambda p: [(f.name, f.values, f.missing_count) for f in read_csv_features(p)],
+                    path)
+            assert got == expected, chunk
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.one_of(csv_texts(), reader_csv_texts()))
+def test_reader_matches_per_cell_reference(text):
+    _assert_reader_matches_reference(text)
+
+
+@pytest.mark.parametrize("text", ["a,b\n", "a,b", "a\n\n", "a\n1\n2,3\n"],
+                         ids=["header-only", "no-newline", "one-blank-row", "long-row"])
+def test_reader_matches_reference_on_edge_files(text):
+    _assert_reader_matches_reference(text)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)

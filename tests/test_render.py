@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -16,7 +17,8 @@ from finestruct import (
     nice_ticks,
     render_svg,
 )
-from finestruct.render import _svg_text, default_axis
+from finestruct import render as render_mod
+from finestruct.render import GLYPH_FILL, _fmt, _svg_text, _tag, default_axis
 
 FAST = EngineConfig(replicates=200, seed=7)
 SVGNS = "{http://www.w3.org/2000/svg}"
@@ -221,3 +223,49 @@ class TestInfiniteSharedRange:
         assert axis.to_px(hi) == pytest.approx(axis.px_top)
         assert axis.to_px(lo) == pytest.approx(axis.px_top + axis.px_height)
         assert axis.to_px(0.0) == pytest.approx(axis.px_top + axis.px_height / 2)
+
+
+
+def _reference_circles(glyph, cx, colw, axis):
+    """A jitter glyph's circles, one ``_tag`` call and one scalar ``to_px`` per point."""
+    out = []
+    for value, off in zip(glyph.points, glyph.offsets):
+        _tag(out, "circle", {
+            "cx": _fmt(cx + off * colw),
+            "cy": _fmt(axis.to_px(float(value))),
+            "r": "2",
+            "fill": GLYPH_FILL,
+            "fill-opacity": "0.7",
+        })
+    return "".join(out)
+
+
+@pytest.mark.parametrize("levels", [
+    [-3.0, -1.0, 0.5, 2.0, 7.25],
+    [-1.7e308, -1e300, 0.0, 1e300, 1.7e308],  # the shared span overflows to inf
+], ids=["finite-axis", "infinite-span"])
+def test_array_coordinates_match_per_point_reference(levels):
+    # two jitter glyphs and a density glyph; the glyph groups are the "<g>"
+    # elements without attributes
+    rng = np.random.default_rng(5)
+    feats = [FeatureSeries("lv", rng.choice(levels, size=700)),
+             FeatureSeries("few", rng.choice(levels, size=40)),
+             FeatureSeries("norm", rng.normal(size=400))]
+    model = build_plot_model(feats, FAST)
+    axis = default_axis(model)
+    assert (axis.y_high - axis.y_low == np.inf) == (levels[-1] == 1.7e308)
+    assert sorted(g.kind for g in model.glyphs) == ["density", "jitter", "jitter"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow or invalid-value warning
+        svg = render_svg(model)
+    colw = (render_mod.WIDTH_PX - render_mod.MARGIN_LEFT - render_mod.MARGIN_RIGHT) / 3
+    groups = re.findall(r"<g>(.*?)</g>", svg)
+    assert len(groups) == 3
+    for i, (glyph, body) in enumerate(zip(model.glyphs, groups)):
+        cx = render_mod.MARGIN_LEFT + (i + 0.5) * colw
+        if glyph.kind == "jitter":
+            assert body == _reference_circles(glyph, cx, colw, axis)
+        else:  # the polygon's rows, down one side and up the other
+            ys = [_fmt(axis.to_px(float(v))) for v in glyph.curve.kernels]
+            points = re.search(r'<polygon points="([^"]+)"', body).group(1)
+            assert [pair.split(",")[1] for pair in points.split(" ")] == ys + ys[::-1]

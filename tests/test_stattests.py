@@ -507,3 +507,15 @@ class TestFeatureReport:
         with pytest.raises(TooFewPoints):
             f = FeatureSeries("s", np.arange(float(n)))
             feature_report(f, describe(f), B=20, seed=1)
+
+    @pytest.mark.parametrize("n, message", [
+        (1, "dip_statistic needs at least 2 values"),
+        (8, "skewness test needs n >= 9, got 8"),
+    ])
+    def test_too_few_points_builds_no_null(self, n, message):
+        # the skewness test's n check runs before the dip's B = 2000 null
+        f = FeatureSeries("s", np.arange(float(n)))
+        before = stattests._null_dips.cache_info().misses
+        with pytest.raises(TooFewPoints, match=message):
+            feature_report(f, describe(f), B=2000, seed=80_808)
+        assert stattests._null_dips.cache_info().misses == before
