@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
 import zlib
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .stats_core import (
     DescriptiveStats,
     FeatureSeries,
     ScalingMode,
+    as_member,
     check_count,
     describe,
     robust_gaussian_fit,
@@ -44,7 +46,6 @@ _TAG_JITTER = 2**33 + 3
 
 
 class Ordering(enum.Enum):
-    DEFAULT = "default"
     COLUMNWISE = "columnwise"
     ALPHABETICAL = "alphabetical"
     STATISTICS = "statistics"
@@ -60,13 +61,20 @@ class EngineConfig:
     min_unique: int = 12
     alpha: float = 0.05
     scaling: ScalingMode = ScalingMode.NONE
-    ordering: Ordering = Ordering.DEFAULT
+    ordering: Ordering = Ordering.STATISTICS
     robust_gaussian: bool = True
     boxplot_overlay: bool = False
     replicates: int = 2000
     seed: int = 0
 
     def __post_init__(self):
+        # a mode's text is stored as its member, so the engine's identity tests hold
+        object.__setattr__(self, "scaling", as_member(ScalingMode, self.scaling, "scaling"))
+        object.__setattr__(self, "ordering", as_member(Ordering, self.ordering, "ordering"))
+        try:
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise BadSpec("seed must be an integer") from None
         for name in ("sample_size_cap", "min_data", "min_unique", "replicates"):
             check_count(name, getattr(self, name))
         if self.min_data < MIN_SKEW_N:  # every density glyph gets both tests
@@ -253,13 +261,14 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
                       gaussian_overlay=overlay, box_overlay=box, report=report)
 
 
-def order_features(glyphs, mode: Ordering) -> list[int]:
+def order_features(glyphs, mode: Ordering | str) -> list[int]:
     """Permutation of feature indices for the configured ordering.
 
-    Statistics (the default) puts Gaussian-like features first: sort by dip
-    p-value descending, then |skew z| ascending, then name; discrete glyphs
-    go last.
+    ``mode`` is a member or its text. Statistics (the default) puts
+    Gaussian-like features first: sort by dip p-value descending, then
+    |skew z| ascending, then name; discrete glyphs go last.
     """
+    mode = as_member(Ordering, mode, "ordering")
     if not glyphs:
         raise NoPlottableFeatures("nothing to order")
     idx = list(range(len(glyphs)))

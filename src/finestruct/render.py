@@ -90,21 +90,18 @@ def _tick_label(v: float) -> str:
     return f"{v:g}"
 
 
-def _escape_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
 def _tag(out: list, tag: str, attrs: dict, text: str = "") -> None:
     """Append one leaf element: attributes in insertion order, and `` />``
     when there is no text. Every attribute value is a number or a constant
-    of this module, so only the text is escaped."""
+    of this module, so only the text is escaped: each character XML 1.0
+    forbids becomes U+FFFD, and ``& < >`` become entities."""
     head = "<" + tag + "".join([f' {k}="{v}"' for k, v in attrs.items()])
-    out.append(f"{head}>{_escape_text(text)}</{tag}>" if text else head + " />")
-
-
-def _svg_text(text: str) -> str:
-    """``text`` with each character XML 1.0 forbids replaced by U+FFFD."""
-    return _NOT_XML_CHAR.sub("\ufffd", text)
+    if not text:
+        out.append(head + " />")
+        return
+    text = _NOT_XML_CHAR.sub("\ufffd", text)
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    out.append(f"{head}>{text}</{tag}>")
 
 
 def gaussian_overlay_path(mu: float, sigma: float, kernels, width_scale: float = 1.0) -> np.ndarray:
@@ -157,7 +154,7 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
         _tag(out, "text", {
             "x": _fmt(WIDTH_PX / 2.0), "y": _fmt(MARGIN_TOP * 0.6),
             "text-anchor": "middle", "font-family": "sans-serif", "font-size": "16",
-        }, _svg_text(model.title))
+        }, model.title)
 
     # y axis with ticks
     out.append('<g stroke="black" stroke-width="1">')
@@ -221,7 +218,7 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
         _tag(out, "text", {
             "x": _fmt(cx), "y": _fmt(MARGIN_TOP + plot_h + 18.0),
             "text-anchor": "middle", "font-family": "sans-serif", "font-size": "11",
-        }, _svg_text(glyph.feature))
+        }, glyph.feature)
 
     for ref in reference_lines:
         py = axis.to_px(float(ref))

@@ -68,6 +68,15 @@ def check_count(name: str, count: int) -> None:
         raise BadSpec(f"{name} must be at most {MAX_COUNT} (8 bytes per value)")
 
 
+def as_member(kind: type[enum.Enum], value, name: str):
+    """``kind(value)``, for a member of ``kind`` or its text; BadSpec naming ``name`` otherwise."""
+    try:
+        return kind(value)
+    except ValueError:
+        choices = ", ".join(map(str, kind))
+        raise BadSpec(f"{name} must be one of {choices}, got {value!r}") from None
+
+
 def finite_values(values) -> np.ndarray:
     """``values`` as a flat float array; BadSpec if any is NaN or infinite."""
     x = np.asarray(values, dtype=float).ravel()
@@ -198,14 +207,15 @@ def symmetric_log(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.log10(1.0 + np.abs(x))
 
 
-def transform(f: FeatureSeries, mode: ScalingMode) -> FeatureSeries:
+def transform(f: FeatureSeries, mode: ScalingMode | str) -> FeatureSeries:
     """Rescale a feature so differently-ranged features share one axis.
 
     Percentalize maps [min, max] to [0, 100]; Robust maps the 1%/99%
     quantile window to [0, 1]; CompleteRobust additionally clamps to [0, 1];
     Log is the symmetric base-10 log. A rescaling that overflows the float
-    range raises BadRange.
+    range raises BadRange. ``mode`` is a member or its text.
     """
+    mode = as_member(ScalingMode, mode, "scaling")
     x = f.values
     if x.size == 0:
         raise EmptyFeature(f"feature {f.name!r} has no values")

@@ -120,7 +120,7 @@ class TestPlotCommand:
         assert main(["plot", "in.csv"]) == 0
         config = json.loads((tmp_path / "plot.manifest.json").read_text())["config"]
         expected = {**dataclasses.asdict(EngineConfig()), "scaling": "none",
-                    "ordering": "default", "hline": [], "title": ""}
+                    "ordering": "statistics", "hline": [], "title": ""}
         del expected["seed"]
         assert config == expected
 
@@ -489,6 +489,7 @@ EXIT_CASES = {
     "plot-sample-size-1e20": ([*_PLOT, "--sample-size", _HUGE], 2),
     "plot-min-data-8": ([*_PLOT, "--min-data", "8"], 2),
     "plot-min-unique-1": ([*_PLOT, "--min-unique", "1"], 2),
+    "plot-ordering-default": (["plot", "in.csv", "-o", "o.svg", "--ordering", "default"], 2),
     "test-replicates-1e20": (["test", "in.csv", "a", "--replicates", _HUGE], 2),
     "test-no-finite-cell": (["test", "missing.csv", "a", "--replicates", "9"], 2),
     "test-one-value": (["test", "one.csv", "a", "--replicates", "9"], 2),

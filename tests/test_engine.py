@@ -201,18 +201,17 @@ class TestOrderFeatures:
         perm = order_features([discrete, gaussian], Ordering.STATISTICS)
         assert perm == [1, 0]
 
-    def test_default_aliases_statistics(self):
-        glyphs = [
-            analyze_feature(_bimodal("b", 3000, 5), FAST),
-            analyze_feature(_normal("g", 3000, 6), FAST),
-        ]
-        assert order_features(glyphs, Ordering.DEFAULT) == order_features(
-            glyphs, Ordering.STATISTICS
-        )
+    def test_text_mode(self):
+        glyphs = [analyze_feature(_normal("b", 3000, 7), FAST),
+                  analyze_feature(_bimodal("a", 3000, 8), FAST)]
+        assert order_features(glyphs, Ordering.STATISTICS) == [0, 1]
+        assert order_features(glyphs, "alphabetical") == [1, 0]
+        with pytest.raises(BadSpec, match="ordering must be one of"):
+            order_features(glyphs, "default")
 
     def test_empty_raises(self):
         with pytest.raises(NoPlottableFeatures):
-            order_features([], Ordering.DEFAULT)
+            order_features([], Ordering.STATISTICS)
 
 
 class TestBuildPlotModel:
@@ -368,9 +367,23 @@ class TestBuildPlotModel:
             ("min_unique", 2.5, "min_unique must be an integer"),
             ("min_data", 8, "min_data must be at least 9"),
             ("min_unique", 1, "min_unique must be at least 2"),
+            ("ordering", "default", "ordering must be one of"),
+            ("ordering", "zscore", "ordering must be one of"),
+            ("scaling", "bogus", "scaling must be one of"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("seed", "1", "seed must be an integer"),
         ]:
             with pytest.raises(BadSpec, match=message):
                 EngineConfig(**{field: value})
         EngineConfig(min_data=9, min_unique=2, sample_size_cap=9)
+        # a mode's CLI text configures the engine exactly as its member does
+        feats = [_bimodal("b", 600, 12), _normal("g", 600, 13, mu=3.0)]
+        by_text = build_plot_model(feats, EngineConfig(replicates=50, scaling="log",
+                                                       ordering="columnwise"))
+        by_member = build_plot_model(feats, EngineConfig(
+            replicates=50, scaling=ScalingMode.LOG, ordering=Ordering.COLUMNWISE))
+        assert [g.feature for g in by_text.glyphs] == [g.feature for g in by_member.glyphs]
+        assert [g.stats for g in by_text.glyphs] == [g.stats for g in by_member.glyphs]
+        assert by_text.scaling_applied is ScalingMode.LOG
         with pytest.raises(BadSpec, match="cap_per_feature must be at least 1"):
             subsample(_normal("x", 100, 1), 0)

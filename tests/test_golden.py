@@ -46,11 +46,11 @@ def _write_mixed_csv(path):
 CASES = {
     "density": (_write_density_csv, ["--boxplot", "--seed", "7", "--replicates", "200"],
                 "87e6cca98c64c6ed98a1abfdd1a7307a7937edd4607e23447685503847f5a87d",
-                "61ea15b19e4c0098c78d1bd5f15b642596766a25d7aa0dcdaf93e60cb525a8dd"),
+                "f2502378af14bf6a4c4cc18ec8d0ebdf8eb62506f1501bf6f965230d5a597f70"),
     "mixed": (_write_mixed_csv, ["--boxplot", "--seed", "5", "--replicates", "100",
                                  "--title", "T" + SPECIALS, "--hline", "0.5", "--hline", "-1e-3"],
               "b4c97533b6ad81f3e996a84674b273e5156068f091a6c3e65dd7986f296e8aa9",
-              "10e6658f7c3e31d4babbf01c461d3eafc2e287b1c467f56d7ffbb09d10c4019d"),
+              "b4ff4f06b9f8769c26904c569fca74204ec66d077cd84d3c6cafd4d3a1f7cd9a"),
 }
 
 

@@ -18,7 +18,7 @@ from finestruct import (
     render_svg,
 )
 from finestruct import render as render_mod
-from finestruct.render import GLYPH_FILL, _fmt, _svg_text, _tag, default_axis
+from finestruct.render import GLYPH_FILL, _NOT_XML_CHAR, _fmt, _tag, default_axis
 
 FAST = EngineConfig(replicates=200, seed=7)
 SVGNS = "{http://www.w3.org/2000/svg}"
@@ -148,7 +148,7 @@ def test_names_escaped_in_text_and_attributes_plain():
     root = ET.fromstring(svg)
 
     def parsed(text):  # XML end-of-line handling turns \r\n and \r into \n
-        return _svg_text(text).replace("\r\n", "\n").replace("\r", "\n")
+        return _NOT_XML_CHAR.sub("\ufffd", text).replace("\r\n", "\n").replace("\r", "\n")
 
     labels = [el.text for el in root.findall(f"{SVGNS}text")]
     assert labels == [parsed(model.title)] + [parsed(g.feature) for g in model.glyphs]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finestruct import (
+    BadSpec,
     ConstantFeature,
     DegenerateSpread,
     EmptyFeature,
@@ -210,6 +211,12 @@ class TestScalingMode:
     def test_parse_print_roundtrip(self, mode):
         # the report prints str(mode); the CLI builds the mode from that value
         assert ScalingMode(str(mode)) is mode
+
+    def test_transform_takes_member_or_text_only(self):
+        f = FeatureSeries("x", np.linspace(-50.0, 50.0, 101))
+        assert np.array_equal(transform(f, "log").values, transform(f, ScalingMode.LOG).values)
+        with pytest.raises(BadSpec, match="scaling must be one of"):
+            transform(f, "bogus")
 
 
 class TestFeatureSeries:
