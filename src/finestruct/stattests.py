@@ -2,9 +2,11 @@
 
 The dip statistic is the minimum over all unimodal distribution functions of
 the sup distance to the empirical CDF, computed exactly on sorted data with
-the greatest-convex-minorant / least-concave-majorant iteration. The dip
-runs in pure Python on lists of floats; numpy is the only dependency. The dip
-and the skewness are computed on the sample scaled by a power of two
+the greatest-convex-minorant / least-concave-majorant iteration. One kernel
+dips a block of sorted samples of equal n at once: numpy prunes every row's
+hull candidates and computes the chord gaps, and the walk between the two
+fits runs per row in Python; numpy is the only dependency. The dip and the
+skewness are computed on the sample scaled by a power of two
 (``stats_core.unit_scaled``), so they depend only on its multiset of values:
 row order and any x * 2**k that keeps the values normal leave them bit for
 bit alike. The dip's p-value comes from seeded Monte Carlo against the
@@ -19,6 +21,7 @@ anonymous shared mapping. ``feature_report`` records that seed in
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import mmap
 import os
@@ -34,11 +37,17 @@ from .stats_core import DescriptiveStats, FeatureSeries, check_count, finite_val
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 SKEW_UNDEFINED = "skewness undefined for a constant sample"
 MIN_SKEW_N = 9  # fewest values the skewness test's Johnson S_U fit accepts
-# Forking, exiting and reaping one null worker costs 5-7 ms of wall time and
-# of CPU in a process that has imported finestruct.cli, and 20 000 points of
-# null dips take 23-42 ms (n = 1000 and 500; 2-core VM); a null is split only
-# so far that each worker gets at least this many points (n times replicates).
-_MIN_SPLIT_POINTS = 20_000
+# A second null worker, forked, reaped and exited in a process that has
+# imported finestruct.cli, costs 8-18 ms of CPU, and 80 000 points of null
+# dips take 20-33 ms (n = 1000 and 500; 2-core VM): split in two, 160 000
+# points take 39-40 ms of wall time instead of 52 ms, and 80 000 gain nothing.
+# A null is split only so far that each worker gets at least this many points
+# (n times replicates).
+_MIN_SPLIT_POINTS = 80_000
+# a null's replicates are dipped in blocks of about this many points (rows times n)
+_BLOCK_POINTS = 1 << 16
+# fewest points (per hull) for which the dip's hull rounds and chord gaps run in numpy
+_NUMPY_POINTS = 384
 # processes that computed each null of this process, in order (1 = not split)
 _null_workers: list[int] = []
 
@@ -60,125 +69,205 @@ class TestReport:
         return asdict(self)
 
 
-def _minorant_starts(x: list) -> list:
-    """mn[j]: start of the greatest-convex-minorant chord ending at j, x sorted."""
-    mn = [0] * len(x)
-    for j in range(1, len(x)):
-        xj = x[j]
-        m = j - 1
-        while m > 0:
-            mm = mn[m]
-            xm = x[m]
-            if (xj - xm) * (m - mm) < (xm - x[mm]) * (j - m):
+def _hull_links(sides: tuple, windows: list, rounds: bool) -> None:
+    """Link the greatest-convex-minorant knots of each window's points.
+
+    A window (s, lo, hi) holds the points (x[j], j), lo <= j <= hi, of the side
+    (flat, x, link): ``flat`` holds the values of the list ``x``, ascending
+    within the window. Afterwards the chain hi, link[hi], link[link[hi]], ...
+    steps down the window's knots to lo. With ``rounds`` the candidates are
+    first pruned in numpy, all windows at once: drop the points not strictly
+    below the chord from lo to hi, then delete every inner point that fails
+    the strict convexity test against its neighbours, round after round, while
+    a round removes at least an eighth of them and of ``_NUMPY_POINTS``. The
+    stack loop then decides every knot with the same test; without rounds it
+    links every prefix of the window, so each later window inside it has its
+    chain already.
+    """
+    if not rounds:
+        cands = [range(lo, hi + 1) for _, lo, hi in windows]
+    else:
+        v = np.concatenate([sides[s][0][lo:hi + 1] for s, lo, hi in windows])
+        size = np.array([hi - lo + 1 for _, lo, hi in windows])
+        first = np.cumsum(size) - size
+        t = np.arange(v.size, dtype=float) - np.repeat(first, size)  # offset from lo
+        u = np.repeat(size - 1.0, size) - t  # offset to hi
+        ends = (t == 0) | (u == 0)
+        keep = ends | ((np.repeat(v[first + size - 1], size) - v) * t < (v - np.repeat(v[first], size)) * u)
+        while True:
+            kept = keep.nonzero()[0]
+            count = t.size
+            t, v, ends = t[kept], v[kept], ends[kept]
+            if 8 * (count - t.size) < max(count, _NUMPY_POINTS):
                 break
-            m = mm
-        mn[j] = m
-    return mn
-
-
-def _chord_gaps(x: list, jb: int, je: int, off: int) -> list:
-    """(jj - jb + off) - (x[jj] - x[jb]) * c for jb <= jj <= je, c the chord's slope.
-
-    c = (je - jb) / (x[je] - x[jb]) in ECDF steps per unit of x, x sorted. Over
-    a gap of a few subnormals beside values near 1, c overflows; the bounded
-    ratios (x[jj] - x[jb]) / (x[je] - x[jb]) then stand in for x[jj] - x[jb]
-    times c, so every gap stays finite.
-    """
-    xjb = x[jb]
-    c = (je - jb) / (x[je] - xjb)
-    if c == math.inf:
-        span = x[je] - xjb
-        return [(jj - jb + off) - (x[jj] - xjb) / span * (je - jb) for jj in range(jb, je + 1)]
-    return [(jj - jb + off) - (x[jj] - xjb) * c for jj in range(jb, je + 1)]
-
-
-def _dip_sorted(x: list) -> float:
-    """Dip of an ascending-sorted sample, given as a list of floats.
-
-    Iteratively fits the greatest convex minorant and least concave majorant
-    of the ECDF on a shrinking modal interval; the running maximum discrepancy
-    (kept in units of 2n) is the dip, in [1/(2n), 1/4]. Ties are handled
-    natively. Python lists and floats index several times faster than ndarray
-    scalars in these loops.
-    """
-    n = len(x)
-    if x[n - 1] == x[0]:
-        return 0.5 / n
-    low = 0
-    high = n - 1
-    dip = 1.0  # in 2n units; enforces the 1/(2n) lower bound
-
-    mn = _minorant_starts(x)
-    # mj[k], the end of the concave-majorant chord starting at k, mirrors the
-    # minorant of the reflected sample: each comparison multiplies the same two
-    # floats with both signs flipped, so mj is exact
-    mj = [n - 1 - m for m in reversed(_minorant_starts([-v for v in reversed(x)]))]
-
-    while True:
-        gcm = [high]  # minorant knots, from high down to low
-        while gcm[-1] > low:
-            gcm.append(mn[gcm[-1]])
-        l_gcm = ig = len(gcm) - 1
-        ix = ig - 1
-
-        lcm = [low]  # majorant knots, from low up to high
-        while lcm[-1] < high:
-            lcm.append(mj[lcm[-1]])
-        l_lcm = ih = len(lcm) - 1
-        iv = 1
-
-        # largest distance between the two fits, walked from both ends
-        d = 0.0
-        if l_gcm != 1 or l_lcm != 1:
-            while True:
-                gcmix = gcm[ix]
-                lcmiv = lcm[iv]
-                if gcmix > lcmiv:
-                    gcmil = gcm[ix + 1]
-                    dx = (lcmiv - gcmil + 1) - (x[lcmiv] - x[gcmil]) * (gcmix - gcmil) / (x[gcmix] - x[gcmil])
-                    iv += 1
-                    if dx >= d:
-                        d = dx
-                        ig = ix + 1
-                        ih = iv - 1
-                else:
-                    lcmivl = lcm[iv - 1]
-                    dx = (x[gcmix] - x[lcmivl]) * (lcmiv - lcmivl) / (x[lcmiv] - x[lcmivl]) - (gcmix - lcmivl - 1)
-                    ix -= 1
-                    if dx >= d:
-                        d = dx
-                        ig = ix + 1
-                        ih = iv
-                if ix < 0:
-                    ix = 0
-                if iv > l_lcm:
-                    iv = l_lcm
-                if gcm[ix] == lcm[iv]:
+            dv = v[1:] - v[:-1]
+            dt = t[1:] - t[:-1]
+            keep = ends.copy()
+            keep[1:-1] |= dv[1:] * dt[:-1] < dv[:-1] * dt[1:]
+        cuts = (t == 0).nonzero()[0].tolist()
+        t = t.astype(np.int64).tolist()
+        cands = [[lo + k for k in t[i:j]] for (_, lo, _), i, j in zip(windows, cuts, [*cuts[1:], len(t)])]
+    for (s, low, _), c in zip(windows, cands):
+        _, x, link = sides[s]
+        m = low
+        for j in itertools.islice(c, 1, None):
+            xj = x[j]
+            while m > low:
+                mm = link[m]
+                xm = x[m]
+                if (xj - xm) * (m - mm) < (xm - x[mm]) * (j - m):
                     break
-        if d < dip:
-            break
+                m = mm
+            link[j] = m
+            m = j
 
-        # dip of each chord of the two fits within the modal interval: the
-        # ECDF's largest rise above a minorant chord, from one step up, and its
-        # largest fall below a majorant chord, from one step down (negating the
-        # gaps is exact, since fl(a - b) == -fl(b - a))
-        dip_new = 0.0
-        for j in range(ig, l_gcm):
-            jb, je = gcm[j + 1], gcm[j]
-            if je - jb > 1 and x[je] != x[jb]:
-                dip_new = max(dip_new, max(_chord_gaps(x, jb, je, 1)))
-        for j in range(ih, l_lcm):
-            jb, je = lcm[j], lcm[j + 1]
-            if je - jb > 1 and x[je] != x[jb]:
-                dip_new = max(dip_new, -min(_chord_gaps(x, jb, je, -1)))
 
-        if dip < dip_new:
-            dip = dip_new
-        if low == gcm[ig] and high == lcm[ih]:
-            break
-        low = gcm[ig]
-        high = lcm[ih]
-    return dip / (2.0 * n)
+def _chord_peaks(flat: np.ndarray, x: list, chords: list) -> list:
+    """Largest signed gap of each chord (jb, je, s) of a fit, je - jb > 1.
+
+    Its gaps are s * ((jj - jb + s) - (x[jj] - x[jb]) * c) for jb <= jj <= je,
+    with c = (je - jb) / (x[je] - x[jb]) the chord's slope in ECDF steps per
+    unit of x; negating a gap is exact, since fl(a - b) == -fl(b - a). Over a
+    gap of a few subnormals beside values near 1, c overflows; the bounded
+    ratios (x[jj] - x[jb]) / (x[je] - x[jb]) then stand in for x[jj] - x[jb]
+    times c, so every gap stays finite. ``flat`` holds the values of the list
+    ``x``; from ``_NUMPY_POINTS`` gaps on, they are computed in numpy.
+    """
+    if sum([je - jb + 1 for jb, je, _ in chords]) < _NUMPY_POINTS:
+        peaks = []
+        for jb, je, s in chords:
+            xjb = x[jb]
+            span = x[je] - xjb
+            c = (je - jb) / span
+            if c == math.inf:
+                gaps = [(jj - jb + s) - (x[jj] - xjb) / span * (je - jb) for jj in range(jb, je + 1)]
+            else:
+                gaps = [(jj - jb + s) - (x[jj] - xjb) * c for jj in range(jb, je + 1)]
+            peaks.append(max(gaps) if s == 1 else -min(gaps))
+        return peaks
+    jb, je, s = np.array(chords).T
+    size = je - jb + 1
+    first = np.cumsum(size) - size
+    jj = np.arange(first[-1] + size[-1]) + np.repeat(jb - first, size)
+    span = flat[je] - flat[jb]
+    rise = flat[jj] - np.repeat(flat[jb], size)
+    steps = jj - np.repeat(jb - s, size)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed c is replaced below
+        c = (je - jb) / span
+        gap = steps - rise * np.repeat(c, size)
+    steep = np.repeat(c == math.inf, size)
+    if steep.any():
+        gap[steep] = steps[steep] - rise[steep] / np.repeat(span, size)[steep] * np.repeat(je - jb, size)[steep]
+    gap *= np.repeat(s, size)
+    return np.maximum.reduceat(gap, first).tolist()
+
+
+def _dips_sorted(X: np.ndarray) -> list:
+    """Dip of each row of a 2-D block of ascending rows of equal length n, as a list.
+
+    Hartigan & Hartigan's iteration, for all rows at once: fit the greatest
+    convex minorant and least concave majorant of each row's ECDF on its
+    shrinking modal interval [low..high]; the running maximum discrepancy
+    (kept in units of 2n) is the dip, in [1/(2n), 1/4]. Ties are handled
+    natively. ``low`` is a knot of the prefix minorant at every later
+    ``high``, so the hull of [low..high] is that minorant's chain from
+    ``high`` down to ``low``. The majorant is the minorant of the reflected
+    row, whose every comparison multiplies the same two floats with both
+    signs flipped. The walk between the two fits runs per row on its knots.
+    """
+    rows, n = X.shape
+    flat = X.ravel()
+    mirror = -flat[::-1]  # row r, reflected, is mirror row rows - 1 - r
+    top = flat.size - 1  # flat index i mirrors to top - i
+    x = flat.tolist()
+    mn, mj = [0] * flat.size, [0] * flat.size  # minorant links of x and of the mirror
+    sides = ((flat, x, mn), (mirror, mirror.tolist(), mj))
+    dip = [1.0] * rows  # in 2n units; enforces the 1/(2n) lower bound
+    low = list(range(0, flat.size, n))  # flat indices
+    high = [i + n - 1 for i in low]
+    linked = [False] * rows  # the links hold the chain of every window inside the current one
+    live = [r for r in range(rows) if x[high[r]] != x[low[r]]]
+    while live:
+        fresh = [r for r in live if not linked[r]]
+        if fresh:
+            rounds = sum([high[r] - low[r] + 1 for r in fresh]) >= _NUMPY_POINTS
+            windows = [(0, low[r], high[r]) for r in fresh] + [(1, top - high[r], top - low[r]) for r in fresh]
+            _hull_links(sides, windows, rounds)
+            if not rounds:
+                for r in fresh:
+                    linked[r] = True
+        chords = []  # (first, last, sign) of each chord whose gaps count
+        moved = []  # (row, its chords' slice, next low, next high)
+        for r in live:
+            lo, hi = low[r], high[r]
+            gcm = [hi]  # minorant knots, from high down to low
+            while gcm[-1] > lo:
+                gcm.append(mn[gcm[-1]])
+            l_gcm = ig = len(gcm) - 1
+            ix = ig - 1
+
+            lcm = [lo]  # majorant knots, from low up to high
+            while lcm[-1] < hi:
+                lcm.append(top - mj[top - lcm[-1]])
+            l_lcm = ih = len(lcm) - 1
+            iv = 1
+
+            # largest distance between the two fits, walked from both ends
+            d = 0.0
+            if l_gcm != 1 or l_lcm != 1:
+                while True:
+                    gcmix = gcm[ix]
+                    lcmiv = lcm[iv]
+                    if gcmix > lcmiv:
+                        gcmil = gcm[ix + 1]
+                        dx = (lcmiv - gcmil + 1) - (x[lcmiv] - x[gcmil]) * (gcmix - gcmil) / (x[gcmix] - x[gcmil])
+                        iv += 1
+                        if dx >= d:
+                            d = dx
+                            ig = ix + 1
+                            ih = iv - 1
+                    else:
+                        lcmivl = lcm[iv - 1]
+                        dx = (x[gcmix] - x[lcmivl]) * (lcmiv - lcmivl) / (x[lcmiv] - x[lcmivl]) - (gcmix - lcmivl - 1)
+                        ix -= 1
+                        if dx >= d:
+                            d = dx
+                            ig = ix + 1
+                            ih = iv
+                    if ix < 0:
+                        ix = 0
+                    if iv > l_lcm:
+                        iv = l_lcm
+                    if gcm[ix] == lcm[iv]:
+                        break
+            if d < dip[r]:
+                continue
+
+            # dip of each chord of the two fits within the modal interval: the
+            # ECDF's largest rise above a minorant chord, from one step up, and
+            # its largest fall below a majorant chord, from one step down
+            first = len(chords)
+            for j in range(ig, l_gcm):
+                jb, je = gcm[j + 1], gcm[j]
+                if je - jb > 1 and x[je] != x[jb]:
+                    chords.append((jb, je, 1))
+            for j in range(ih, l_lcm):
+                jb, je = lcm[j], lcm[j + 1]
+                if je - jb > 1 and x[je] != x[jb]:
+                    chords.append((jb, je, -1))
+            moved.append((r, slice(first, len(chords)), gcm[ig], lcm[ih]))
+
+        peaks = _chord_peaks(flat, x, chords)
+        live = []
+        for r, own, lo, hi in moved:
+            dip_new = max(peaks[own], default=0.0)
+            if dip[r] < dip_new:
+                dip[r] = dip_new
+            if low[r] != lo or high[r] != hi:
+                low[r] = lo
+                high[r] = hi
+                live.append(r)
+    return [d / (2.0 * n) for d in dip]
 
 
 def dip_statistic(values) -> float:
@@ -192,17 +281,23 @@ def dip_statistic(values) -> float:
     x = finite_values(values)
     if x.size < 2:
         raise TooFewPoints("dip_statistic needs at least 2 values")
-    return _dip_sorted(unit_scaled(np.sort(x))[0].tolist())
+    return _dips_sorted(unit_scaled(np.sort(x))[0][np.newaxis])[0]
 
 
 def _null_range(n: int, lo: int, hi: int, seed: int) -> np.ndarray:
-    """Dips of the null's replicates lo <= i < hi; replicate i draws from (seed, i)."""
+    """Dips of the null's replicates lo <= i < hi; replicate i draws from (seed, i).
+
+    The replicates are drawn, sorted and dipped in blocks of about
+    ``_BLOCK_POINTS`` points; no value depends on the block size.
+    """
     out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        u = rng.random(n)
-        u.sort()
-        out[i - lo] = _dip_sorted(u.tolist())
+    rows = max(1, _BLOCK_POINTS // n)
+    for start in range(lo, hi, rows):
+        block = np.empty((min(rows, hi - start), n))
+        for i, row in enumerate(block, start):
+            np.random.default_rng(np.random.SeedSequence((seed, i))).random(out=row)
+        block.sort(axis=1)
+        out[start - lo:start - lo + len(block)] = _dips_sorted(block)
     return out
 
 

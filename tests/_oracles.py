@@ -128,7 +128,7 @@ def dip_sorted_reference(x):
 
     A frozen copy of the package's earlier ndarray kernel (greatest convex
     minorant / least concave majorant iteration on ndarray scalars). The
-    package's list kernel must return bit-identical values; keep this copy
+    package's kernel must return bit-identical values; keep this copy
     unchanged.
     """
     n = x.shape[0]

@@ -9,6 +9,8 @@ import time
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import dip_lp_oracle, dip_sorted_reference, skewness_z_oracle
 from finestruct import (
@@ -28,7 +30,7 @@ from finestruct import (
 from finestruct import stattests
 from finestruct.cli import main
 from finestruct.stats_core import MAX_COUNT
-from finestruct.stattests import _dip_sorted, _skew_z
+from finestruct.stattests import _dips_sorted, _skew_z
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -163,7 +165,7 @@ class TestDipStatistic:
             assert dip_statistic(0.7 * x - 8.0) == pytest.approx(d, rel=1e-9, abs=1e-12)
 
     def test_list_kernel_matches_reference(self):
-        # the list kernel must reproduce the frozen ndarray kernel bit for bit
+        # the kernel must reproduce the frozen ndarray kernel bit for bit
         rng = np.random.default_rng(21)
         samples = []
         for i in range(250):
@@ -187,7 +189,7 @@ class TestDipStatistic:
         samples += [np.random.default_rng(np.random.SeedSequence((0, 0))).random(n) for n in (20_000, 50_000)]
         for x in samples:
             s = np.sort(x)
-            assert _dip_sorted(s.tolist()) == dip_sorted_reference(s)
+            assert _dips_sorted(s[np.newaxis]) == [dip_sorted_reference(s)]
 
     def test_too_few(self):
         with pytest.raises(TooFewPoints):
@@ -195,6 +197,82 @@ class TestDipStatistic:
 
     def test_constant_floor(self):
         assert dip_statistic([4.0] * 10) == 0.05
+
+
+KERNEL_ROWS = ("uniform", "constant", "ties", "clusters", "offset", "staircase", "subnormal")
+
+
+def _kernel_row(kind, n, rng):
+    """n values of one kind that stresses the dip kernel's hulls and chord gaps."""
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "ties":
+        return np.round(rng.normal(size=n), 1)
+    if kind == "clusters":
+        return np.concatenate([rng.normal(size=n // 2), 4.0 + rng.normal(size=n - n // 2)])
+    if kind == "offset":  # 16 is the ulp of 1e17
+        return 1e17 + 16.0 * rng.integers(-200, 200, size=n)
+    if kind in ("staircase", "subnormal"):  # steps beside values in [0.1, 1]
+        step = 5e-324 if kind == "subnormal" else 2.0**-1000
+        return np.concatenate([step * rng.integers(0, 40, size=n // 2), rng.uniform(0.1, 1.0, size=n - n // 2)])
+    return rng.random(n)
+
+
+class TestDipKernel:
+    """``_dips_sorted`` on blocks of rows: each row's dip is its dip alone and the frozen reference's."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.integers(2, 600), st.lists(st.sampled_from(KERNEL_ROWS), min_size=1, max_size=8),
+           st.sampled_from([1.0, -1.0]), st.integers(0, 2**32 - 1))
+    def test_block_rows_match_reference(self, n, kinds, sign, seed):
+        # blocks of fewer than _NUMPY_POINTS points run in Python loops, larger
+        # ones in numpy, so a row is checked on both paths at most sizes; over
+        # subnormal steps the two paths' overflowed slopes are checked alike
+        rng = np.random.default_rng(seed)
+        block = np.sort([sign * _kernel_row(kind, n, rng) for kind in kinds], axis=1)
+        dips = _dips_sorted(block)
+        assert len(dips) == len(kinds)
+        for kind, row, d in zip(kinds, block, dips):
+            assert _dips_sorted(row[np.newaxis]) == [d]
+            if kind == "subnormal":  # the reference's chord slopes overflow over 5e-324 steps
+                assert 0.5 / n <= d <= 0.25
+            else:
+                assert d == dip_sorted_reference(row)
+
+    @pytest.mark.parametrize("step", [5e-324, 2.0**-1000])
+    def test_block_of_subnormal_staircases(self, step):
+        # the 27-value column whose dip, 11/90, a chord over the steps sets: in
+        # a block of 64 its chord gaps run in numpy, alone in Python loops
+        x = np.sort(np.concatenate([2 * step * np.r_[1:13, 34:43], np.linspace(0.1, 1, 6)]))
+        for row in (x, -x[::-1]):
+            alone = _dips_sorted(row[np.newaxis])
+            assert _dips_sorted(np.tile(row, (64, 1))) == alone * 64
+            assert alone[0] == pytest.approx(11 / 90, rel=1e-12)
+
+    @pytest.mark.parametrize("n, b", [(2, 50), (7, 40), (500, 30), (11_194, 3)])
+    def test_null_bytes_ignore_block_size(self, monkeypatch, n, b):
+        want = stattests._null_range(n, 0, b, 13)
+        for i in range(min(b, 3)):
+            u = np.sort(np.random.default_rng(np.random.SeedSequence((13, i))).random(n))
+            assert want[i] == dip_sorted_reference(u)
+        for points in (n, 3 * n):
+            monkeypatch.setattr(stattests, "_BLOCK_POINTS", points)
+            assert stattests._null_range(n, 0, b, 13).tobytes() == want.tobytes()
+            assert stattests._null_range(n, 1, b, 13).tobytes() == want[1:].tobytes()
+
+    @pytest.mark.parametrize("n", [20_000, 100_000])
+    def test_invariants_at_table_sizes(self, n):
+        # on the null's own replicates at the sizes a null table would hold:
+        # the bounds, exact power-of-two invariance and mirror symmetry
+        dips = stattests._null_range(n, 0, 2, 17)
+        for i, d in enumerate(dips):
+            x = np.random.default_rng(np.random.SeedSequence((17, i))).random(n)
+            assert np.ldexp(x.min(), -1000) >= np.finfo(float).tiny  # x * 2**-1000 stays normal
+            assert dip_statistic(x) == d
+            assert 0.5 / n <= d <= 0.25
+            assert dip_statistic(np.ldexp(x, 1000)) == d
+            assert dip_statistic(np.ldexp(x, -1000)) == d
+            assert dip_statistic(-x) == pytest.approx(d, rel=1e-12, abs=0)
 
 
 def _assert_no_child():
