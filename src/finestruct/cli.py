@@ -366,19 +366,22 @@ def run_bench(experiment: str, sweep, iterations: int, B: int, n: int | None, se
     """Sweep rows (param, iteration, p) plus per-param median/p99 summaries."""
     if n is None:
         n = 31000 if experiment == "bimodal" else 15000
+    if experiment == "bimodal":
+        specs = [GaussMixSpec(((0.5, 0.0, 1.0), (0.5, float(param), 1.0))) for param in sweep]
+    else:
+        specs = [SkewSpec(xi=float(param)) for param in sweep]
     rows = []
     summaries = []
-    for i, param in enumerate(sweep):
+    for i, (param, spec) in enumerate(zip(sweep, specs)):
         ps = []
         for t in range(iterations):
             sample_seed = int(np.random.SeedSequence((seed, i, t)).generate_state(1)[0])
             if experiment == "bimodal":
-                spec = GaussMixSpec(((0.5, 0.0, 1.0), (0.5, float(param), 1.0)))
                 sample = sample_gauss_mixture(n, spec, sample_seed)
                 d = dip_statistic(sample.values)
                 p = dip_pvalue_mc(d, n, B, seed)
             else:
-                sample = sample_skew_normal(n, SkewSpec(xi=float(param)), sample_seed)
+                sample = sample_skew_normal(n, spec, sample_seed)
                 _, _, p = dagostino_skewness(sample.values)
             ps.append(p)
             rows.append((param, t, p))
@@ -393,11 +396,8 @@ def cmd_bench(args) -> int:
     sweep = [_number(v) for v in args.sweep.split(",") if v.strip()]
     if not sweep:
         raise BadSpec("empty sweep")
-    if args.iterations < 1:
-        raise BadSpec("iterations must be at least 1")
+    check_count("iterations", args.iterations)
     check_count("replicates", args.replicates)
-    if args.experiment == "skew" and any(v <= 0 for v in sweep):
-        raise BadSpec("skew sweep values must be positive")
     rows, summaries = run_bench(args.experiment, sweep, args.iterations,
                                 args.replicates, args.n, args.seed)
     lines = ["param,iteration,p"]

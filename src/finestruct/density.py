@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRange, ConstantFeature, TooFewPoints
+from .errors import BadRange, BadSpec, ConstantFeature, TooFewPoints
 from .stats_core import finite_values, seeded_subsample, unit_scaled
 
 PARETO_QUANTILE = 0.18  # of the pairwise distances; a neighborhood holds ~20% of the data
@@ -40,13 +40,13 @@ class DensityCurve:
         k = np.asarray(self.kernels, dtype=float)
         d = np.asarray(self.densities, dtype=float)
         if k.size != d.size or k.size < 2:
-            raise ValueError("kernels/densities must be equal-length, size >= 2")
+            raise BadSpec("kernels/densities must be equal-length, size >= 2")
         if np.any(np.diff(k) <= 0):
-            raise ValueError("kernels must be strictly increasing")
+            raise BadSpec("kernels must be strictly increasing")
         if np.any(d < 0):
-            raise ValueError("densities must be non-negative")
+            raise BadSpec("densities must be non-negative")
         if self.radius <= 0:
-            raise ValueError("radius must be positive")
+            raise BadSpec("radius must be positive")
         object.__setattr__(self, "kernels", k)
         object.__setattr__(self, "densities", d)
 
@@ -196,7 +196,7 @@ def pde_estimate(values, seed: int = 0) -> DensityCurve:
     holds fewer distinct floats than kernels, or a density that overflows,
     raises BadRange.
     """
-    x = np.asarray(values, dtype=float).ravel()
+    x = finite_values(values)
     r = pareto_radius(x, seed=seed)
     lo = float(x.min())
     hi = float(x.max())

@@ -83,8 +83,12 @@ class EngineConfig:
             raise BadSpec("min_unique must be at least 2")
         if self.sample_size_cap < self.min_data:
             raise BadSpec("sample_size_cap must be at least min_data")
-        if not 0.0 < self.alpha < 1.0:
-            raise BadSpec("alpha must be in (0, 1)")
+        try:
+            in_range = 0.0 < self.alpha < 1.0
+        except TypeError:
+            in_range = False
+        if not in_range:
+            raise BadSpec("alpha must be a number in (0, 1)")
 
 
 @dataclass(frozen=True)

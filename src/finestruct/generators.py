@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRange, BadSpec
-from .stats_core import FeatureSeries, check_count
+from .stats_core import FeatureSeries, check_count, seeded_rng
 
 _HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)  # E|Z| for Z ~ N(0,1)
 
@@ -63,14 +63,14 @@ def sample_uniform(n: int, low: float, high: float, seed: int = 0) -> FeatureSer
         raise BadRange(f"need low < high, got [{low}, {high}]")
     if not math.isfinite(high - low):
         raise BadSpec(f"[{low}, {high}] must be finite with a finite width")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = seeded_rng(seed)
     return FeatureSeries("uniform", rng.uniform(low, high, n))
 
 
 def sample_gauss_mixture(n: int, spec: GaussMixSpec, seed: int = 0) -> FeatureSeries:
     """Gaussian mixture draw: pick a component by weight, then sample it."""
     check_count("n", n)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = seeded_rng(seed)
     w = np.array([c[0] for c in spec.components])
     means = np.array([c[1] for c in spec.components])
     sds = np.array([c[2] for c in spec.components])
@@ -91,7 +91,7 @@ def sample_skew_normal(n: int, spec: SkewSpec, seed: int = 0) -> FeatureSeries:
     """
     check_count("n", n)
     xi = spec.xi
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = seeded_rng(seed)
     mag = np.abs(rng.normal(size=n))
     pos = rng.random(n) < xi * xi / (1.0 + xi * xi)
     values = np.where(pos, mag * xi, -mag / xi)

@@ -54,7 +54,9 @@ class AxisTransform:
 
 
 def nice_ticks(lo: float, hi: float) -> list[float]:
-    """Round tick positions covering [lo, hi] with 1-2-5 stepping."""
+    """Round tick positions covering finite [lo, hi] with 1-2-5 stepping."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise BadSpec(f"tick range [{lo}, {hi}] must be finite")
     span = hi - lo
     if span <= 0:
         return [lo]
@@ -111,7 +113,7 @@ def gaussian_overlay_path(mu: float, sigma: float, kernels, width_scale: float =
     renderer applies to the density itself, so the two outlines compare.
     """
     if sigma <= 0:
-        raise ValueError("sigma must be positive")
+        raise BadSpec("sigma must be positive")
     k = np.asarray(kernels, dtype=float)
     pdf = np.exp(-0.5 * ((k - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
     return pdf * width_scale

@@ -35,12 +35,9 @@ class FeatureSeries:
     missing_count: int = 0
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float).ravel()
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError(f"feature {self.name!r} contains non-finite values")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", finite_values(self.values))
         if self.missing_count < 0:
-            raise ValueError("missing_count must be non-negative")
+            raise BadSpec("missing_count must be non-negative")
 
     @classmethod
     def clean(cls, name: str, raw) -> "FeatureSeries":
@@ -79,15 +76,26 @@ def as_member(kind: type[enum.Enum], value, name: str):
 
 def finite_values(values) -> np.ndarray:
     """``values`` as a flat float array; BadSpec if any is NaN or infinite."""
-    x = np.asarray(values, dtype=float).ravel()
+    try:
+        x = np.asarray(values, dtype=float).ravel()
+    except (TypeError, ValueError):
+        raise BadSpec("values must be real numbers") from None
     if not np.all(np.isfinite(x)):
         raise BadSpec("values must be finite")
     return x
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy's PCG64 seeded with ``seed``; BadSpec for a seed ``SeedSequence`` refuses."""
+    try:
+        return np.random.default_rng(np.random.SeedSequence(seed))
+    except (TypeError, ValueError):
+        raise BadSpec(f"seed must be a non-negative integer, got {seed!r}") from None
+
+
 def seeded_subsample(values: np.ndarray, size: int, seed: int) -> np.ndarray:
     """Seeded uniform draw of ``size`` values without replacement, in input order."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = seeded_rng(seed)
     idx = rng.choice(values.size, size=size, replace=False)
     idx.sort()
     return values[idx]
@@ -130,7 +138,7 @@ def quantile(values, p: float) -> float:
     if v.size == 0:
         raise EmptyFeature("quantile of empty sample")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+        raise BadSpec(f"p must be in [0, 1], got {p}")
     h = (v.size - 1) * p
     lo = math.floor(h)
     if lo >= v.size - 1:

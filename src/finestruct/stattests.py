@@ -212,7 +212,9 @@ def _dips_sorted(X: np.ndarray) -> list:
             l_lcm = ih = len(lcm) - 1
             iv = 1
 
-            # largest distance between the two fits, walked from both ends
+            # largest distance between the two fits, walked from both ends; gcm
+            # falls strictly from hi and lcm rises strictly to hi, so the walk
+            # stops on gcm[ix] == lcm[iv] by (0, l_lcm) and never leaves either
             d = 0.0
             if l_gcm != 1 or l_lcm != 1:
                 while True:
@@ -234,10 +236,6 @@ def _dips_sorted(X: np.ndarray) -> list:
                             d = dx
                             ig = ix + 1
                             ih = iv
-                    if ix < 0:
-                        ix = 0
-                    if iv > l_lcm:
-                        iv = l_lcm
                     if gcm[ix] == lcm[iv]:
                         break
             if d < dip[r]:

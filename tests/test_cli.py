@@ -501,6 +501,14 @@ EXIT_CASES = {
     "bench-bimodal-n-1e20": ([*_BIMODAL, "--sweep", "1", "--n", _HUGE], 2),
     "bench-skew-n-1e20": ([*_SKEW, "--sweep", "1", "--n", _HUGE], 2),
     "bench-replicates-1e20": (["bench", "bimodal", "--sweep", "1", "--replicates", _HUGE], 2),
+    "gen-uniform-one-param": (["gen", "uniform", "0", "--n", "5"], 2),
+    "gen-gaussmix-two-fields": (["gen", "gaussmix", "0:1", "--n", "5"], 2),
+    "gen-gaussmix-negative-weight": (["gen", "gaussmix", "0:1:-0.5,1:1:1.5", "--n", "5"], 2),
+    "gen-uniform-width-overflows": (["gen", "uniform", "-1e308", "1e308", "--n", "5"], 2),
+    "bench-empty-sweep": (["bench", "bimodal", "--sweep", ",", "--n", "50", "--iterations", "1"], 2),
+    "bench-iterations-0": (["bench", "bimodal", "--sweep", "2", "--n", "50", "--iterations", "0"], 2),
+    "bench-skew-sweep-0": (["bench", "skew", "--sweep", "0", "--n", "50", "--iterations", "1"], 2),
+    "bench-skew-sweep-1e200": (["bench", "skew", "--sweep", "1,1e200", "--n", "50", "--iterations", "1"], 2),
 }
 
 
