@@ -35,7 +35,7 @@ from .generators import (
     sample_uniform,
 )
 from .render import render_svg
-from .stats_core import FeatureSeries, ScalingMode, check_count, describe, quantile
+from .stats_core import FeatureSeries, ScalingMode, check_count, check_seed, describe, quantile
 from .stattests import (
     SKEW_UNDEFINED, _null_dips, _null_workers, dagostino_skewness, dip_pvalue_mc,
     dip_statistic, feature_report,
@@ -122,7 +122,7 @@ def _seed(text: str) -> int:
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed, default=_DEFAULTS.seed,
-                   help="global RNG seed (non-negative)")
+                   help="global RNG seed in [0, 2**32)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,6 +398,7 @@ def cmd_bench(args) -> int:
         raise BadSpec("empty sweep")
     check_count("iterations", args.iterations)
     check_count("replicates", args.replicates)
+    check_seed(args.seed)
     rows, summaries = run_bench(args.experiment, sweep, args.iterations,
                                 args.replicates, args.n, args.seed)
     lines = ["param,iteration,p"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRange, BadSpec, ConstantFeature, TooFewPoints
-from .stats_core import finite_values, seeded_subsample, unit_scaled
+from .stats_core import check_real, finite_values, seeded_subsample, unit_scaled
 
 PARETO_QUANTILE = 0.18  # of the pairwise distances; a neighborhood holds ~20% of the data
 LARGE_N_THRESHOLD = 1024  # above it the radius shrinks by (n/threshold)^(-1/5)
@@ -37,16 +37,15 @@ class DensityCurve:
     radius: float
 
     def __post_init__(self):
-        k = np.asarray(self.kernels, dtype=float)
-        d = np.asarray(self.densities, dtype=float)
+        k = finite_values(self.kernels)
+        d = finite_values(self.densities)
         if k.size != d.size or k.size < 2:
             raise BadSpec("kernels/densities must be equal-length, size >= 2")
         if np.any(np.diff(k) <= 0):
             raise BadSpec("kernels must be strictly increasing")
         if np.any(d < 0):
             raise BadSpec("densities must be non-negative")
-        if self.radius <= 0:
-            raise BadSpec("radius must be positive")
+        check_real("radius", self.radius, 0.0, math.inf)
         object.__setattr__(self, "kernels", k)
         object.__setattr__(self, "densities", d)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 import sys
 import zlib
 from dataclasses import dataclass
@@ -29,6 +28,8 @@ from .stats_core import (
     ScalingMode,
     as_member,
     check_count,
+    check_real,
+    check_seed,
     describe,
     robust_gaussian_fit,
     seeded_subsample,
@@ -71,24 +72,14 @@ class EngineConfig:
         # a mode's text is stored as its member, so the engine's identity tests hold
         object.__setattr__(self, "scaling", as_member(ScalingMode, self.scaling, "scaling"))
         object.__setattr__(self, "ordering", as_member(Ordering, self.ordering, "ordering"))
-        try:
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError:
-            raise BadSpec("seed must be an integer") from None
-        for name in ("sample_size_cap", "min_data", "min_unique", "replicates"):
-            check_count(name, getattr(self, name))
-        if self.min_data < MIN_SKEW_N:  # every density glyph gets both tests
-            raise BadSpec(f"min_data must be at least {MIN_SKEW_N}")
-        if self.min_unique < 2:  # a constant feature is a Dirac line
-            raise BadSpec("min_unique must be at least 2")
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        # every density glyph gets both tests; a feature of one value is a Dirac line
+        floors = {"sample_size_cap": 1, "min_data": MIN_SKEW_N, "min_unique": 2, "replicates": 1}
+        for name, floor in floors.items():
+            check_count(name, getattr(self, name), floor)
         if self.sample_size_cap < self.min_data:
             raise BadSpec("sample_size_cap must be at least min_data")
-        try:
-            in_range = 0.0 < self.alpha < 1.0
-        except TypeError:
-            in_range = False
-        if not in_range:
-            raise BadSpec("alpha must be a number in (0, 1)")
+        check_real("alpha", self.alpha, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -178,8 +169,8 @@ class PlotModel:
 
 
 def derive_seed(seed: int, name: str) -> int:
-    """Per-feature substream: global seed XOR a stable hash of the name."""
-    return (int(seed) ^ zlib.crc32(name.encode("utf-8"))) & 0xFFFFFFFF
+    """Per-feature substream: global seed XOR a stable 32-bit hash of the name."""
+    return check_seed(seed) ^ zlib.crc32(name.encode("utf-8"))
 
 
 def _substream(feature_seed: int, tag: int) -> int:

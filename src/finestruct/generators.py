@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRange, BadSpec
-from .stats_core import FeatureSeries, check_count, seeded_rng
+from .stats_core import FeatureSeries, check_count, check_real, seeded_rng
 
 _HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)  # E|Z| for Z ~ N(0,1)
 
@@ -23,17 +23,16 @@ class GaussMixSpec:
     components: tuple
 
     def __post_init__(self):
-        comps = tuple((float(w), float(m), float(s)) for w, m, s in self.components)
-        if not comps:
-            raise BadSpec("mixture needs at least one component")
-        if not all(math.isfinite(v) for comp in comps for v in comp):
-            raise BadSpec("mixture weights, means and sds must be finite")
+        try:
+            comps = [tuple(comp) for comp in self.components]
+        except TypeError:  # not a sequence of sequences
+            comps = None
+        if not comps or any(len(comp) != 3 for comp in comps):
+            raise BadSpec("a mixture needs one or more (weight, mean, sd) triples")
+        comps = tuple((check_real("weight", w, 0.0, 1.0, closed=True), check_real("mean", m),
+                       check_real("sd", s, 0.0, math.inf)) for w, m, s in comps)
         if abs(sum(w for w, _, _ in comps) - 1.0) > 1e-12:
             raise BadSpec("mixture weights must sum to 1")
-        if any(w < 0 for w, _, _ in comps):
-            raise BadSpec("mixture weights must be non-negative")
-        if any(s <= 0 for _, _, s in comps):
-            raise BadSpec("component sd must be positive")
         object.__setattr__(self, "components", comps)
 
 
@@ -44,12 +43,15 @@ class SkewSpec:
     xi: float
 
     def __post_init__(self):
-        if not (self.xi > 0 and math.isfinite(self.xi * self.xi + 1 / self.xi / self.xi)):
+        xi = check_real("xi", self.xi, 0.0, math.inf)
+        if not math.isfinite(xi * xi + 1 / xi / xi):  # products and quotients: ** raises OverflowError
             raise BadSpec("xi must be positive, with xi**2 and xi**-2 finite")
+        object.__setattr__(self, "xi", xi)
 
 
 def skew_normal_moments(xi: float) -> tuple[float, float]:
-    """Analytic (mean, sd) of the unit-scale two-piece skew normal."""
+    """Analytic (mean, sd) of the unit-scale two-piece skew normal; ``SkewSpec`` checks xi."""
+    xi = SkewSpec(xi).xi
     mean = _HALF_NORMAL_MEAN * (xi - 1.0 / xi)
     second = xi * xi - 1.0 + 1.0 / (xi * xi)
     var = second - mean * mean
@@ -59,10 +61,11 @@ def skew_normal_moments(xi: float) -> tuple[float, float]:
 def sample_uniform(n: int, low: float, high: float, seed: int = 0) -> FeatureSeries:
     """n i.i.d. uniforms on [low, high)."""
     check_count("n", n)
+    low, high = check_real("low", low), check_real("high", high)
     if low >= high:
         raise BadRange(f"need low < high, got [{low}, {high}]")
     if not math.isfinite(high - low):
-        raise BadSpec(f"[{low}, {high}] must be finite with a finite width")
+        raise BadSpec(f"[{low}, {high}] must have a finite width")
     rng = seeded_rng(seed)
     return FeatureSeries("uniform", rng.uniform(low, high, n))
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .engine import PlotModel
 from .errors import BadSpec, NoPlottableFeatures
+from .stats_core import check_real
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -55,8 +56,7 @@ class AxisTransform:
 
 def nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering finite [lo, hi] with 1-2-5 stepping."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise BadSpec(f"tick range [{lo}, {hi}] must be finite")
+    lo, hi = check_real("lo", lo), check_real("hi", hi)
     span = hi - lo
     if span <= 0:
         return [lo]
@@ -112,8 +112,7 @@ def gaussian_overlay_path(mu: float, sigma: float, kernels, width_scale: float =
     ``width_scale`` is the per-feature factor (half-width / max density) the
     renderer applies to the density itself, so the two outlines compare.
     """
-    if sigma <= 0:
-        raise BadSpec("sigma must be positive")
+    mu, sigma = check_real("mu", mu), check_real("sigma", sigma, 0.0, math.inf)
     k = np.asarray(kernels, dtype=float)
     pdf = np.exp(-0.5 * ((k - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
     return pdf * width_scale

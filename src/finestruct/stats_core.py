@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 import sys
 from dataclasses import asdict, dataclass
@@ -36,15 +37,14 @@ class FeatureSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "values", finite_values(self.values))
-        if self.missing_count < 0:
-            raise BadSpec("missing_count must be non-negative")
+        object.__setattr__(self, "missing_count", check_count("missing_count", self.missing_count, 0))
 
     @classmethod
     def clean(cls, name: str, raw) -> "FeatureSeries":
         """Build a series from raw numbers, dropping NaN/inf into missing_count."""
         arr = np.asarray(raw, dtype=float).ravel()
         keep = np.isfinite(arr)
-        return cls(name, arr[keep], missing_count=int(arr.size - keep.sum()))
+        return cls(name, arr[keep], missing_count=arr.size - keep.sum())
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -53,16 +53,35 @@ class FeatureSeries:
         return FeatureSeries(self.name, values, self.missing_count)
 
 
-def check_count(name: str, count: int) -> None:
-    """BadSpec unless count is an integer in [1, MAX_COUNT], a count of float64 values to draw."""
+def check_count(name: str, count: int, floor: int = 1, ceiling: int = MAX_COUNT) -> int:
+    """``count`` as an int in [floor, ceiling] (by default a count of float64 values); else BadSpec."""
     try:
         count = operator.index(count)
     except TypeError:
         raise BadSpec(f"{name} must be an integer") from None
-    if count < 1:
-        raise BadSpec(f"{name} must be at least 1")
-    if count > MAX_COUNT:
-        raise BadSpec(f"{name} must be at most {MAX_COUNT} (8 bytes per value)")
+    if count < floor:
+        raise BadSpec(f"{name} must be at least {floor}")
+    if count > ceiling:
+        raise BadSpec(f"{name} must be at most {ceiling}")
+    return count
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int; BadSpec outside [0, 2**32), the seeds ``engine.derive_seed`` tells apart."""
+    return check_count("seed", seed, 0, 2**32 - 1)
+
+
+def check_real(name: str, value, low=-math.inf, high=math.inf, closed=False) -> float:
+    """``value`` as a float: a finite real in (low, high), or [low, high] if ``closed``; else BadSpec."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not (math.isfinite(x) and (low <= x <= high if closed else low < x < high)):
+        span = ("[{:g}, {:g}]" if closed else "({:g}, {:g})").format(low, high)
+        rule = {"(-inf, inf)": "finite", "(0, inf)": "positive and finite"}.get(span, "in " + span)
+        raise BadSpec(f"{name} must be {rule}, got {value!r}")
+    return x
 
 
 def as_member(kind: type[enum.Enum], value, name: str):
@@ -86,11 +105,8 @@ def finite_values(values) -> np.ndarray:
 
 
 def seeded_rng(seed) -> np.random.Generator:
-    """numpy's PCG64 seeded with ``seed``; BadSpec for a seed ``SeedSequence`` refuses."""
-    try:
-        return np.random.default_rng(np.random.SeedSequence(seed))
-    except (TypeError, ValueError):
-        raise BadSpec(f"seed must be a non-negative integer, got {seed!r}") from None
+    """numpy's PCG64 seeded with ``seed``, checked by ``check_seed``."""
+    return np.random.default_rng(np.random.SeedSequence(check_seed(seed)))
 
 
 def seeded_subsample(values: np.ndarray, size: int, seed: int) -> np.ndarray:
@@ -134,11 +150,10 @@ def quantile(values, p: float) -> float:
 
     Uses index h = (n-1)*p; endpoints are the sample min/max.
     """
-    v = np.asarray(values, dtype=float)
+    v = finite_values(values)
     if v.size == 0:
         raise EmptyFeature("quantile of empty sample")
-    if not 0.0 <= p <= 1.0:
-        raise BadSpec(f"p must be in [0, 1], got {p}")
+    p = check_real("p", p, 0.0, 1.0, closed=True)
     h = (v.size - 1) * p
     lo = math.floor(h)
     if lo >= v.size - 1:

@@ -31,10 +31,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BadSpec, ConstantFeature, TooFewPoints
-from .stats_core import DescriptiveStats, FeatureSeries, check_count, finite_values, moments, unit_scaled
+from .errors import ConstantFeature, TooFewPoints
+from .stats_core import (DescriptiveStats, FeatureSeries, check_count, check_real, check_seed, finite_values,
+                         moments, unit_scaled)
 
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
 SKEW_UNDEFINED = "skewness undefined for a constant sample"
 MIN_SKEW_N = 9  # fewest values the skewness test's Johnson S_U fit accepts
 # A second null worker, forked, reaped and exited in a process that has
@@ -378,13 +378,10 @@ def dip_pvalue_mc(d: float, n: int, B: int, seed: int = 0) -> float:
     draws from its own (seed, b) stream, so results are reproducible and
     monotone in d for a fixed seed.
     """
-    if not 0 < d < math.inf:
-        raise BadSpec("d must be positive and finite")
-    if n < 2:
+    check_real("d", d, 0.0, math.inf)
+    if (n := check_count("n", n)) < 2:
         raise TooFewPoints("dip p-value needs n >= 2")
-    check_count("n", n)
-    check_count("B", B)
-    null = _null_dips(int(n), int(B), int(seed) & _SEED_MASK)
+    null = _null_dips(n, check_count("B", B), check_seed(seed))
     exceed = int(np.count_nonzero(null >= d))
     return (1 + exceed) / (B + 1)
 
@@ -430,4 +427,4 @@ def feature_report(f: FeatureSeries, stats: DescriptiveStats, B: int = 2000, see
     z, skew_p = _skew_z(stats.skewness_g1, stats.n)  # its n check comes before the null
     dip_p = dip_pvalue_mc(d, len(f), B, seed)
     return TestReport(n=stats.n, dip_d=d, dip_p=dip_p, dip_replicates=B,
-                      skew_g1=stats.skewness_g1, skew_z=z, skew_p=skew_p, seed=seed)
+                      skew_g1=stats.skewness_g1, skew_z=z, skew_p=skew_p, seed=check_seed(seed))

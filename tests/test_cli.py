@@ -509,6 +509,10 @@ EXIT_CASES = {
     "bench-iterations-0": (["bench", "bimodal", "--sweep", "2", "--n", "50", "--iterations", "0"], 2),
     "bench-skew-sweep-0": (["bench", "skew", "--sweep", "0", "--n", "50", "--iterations", "1"], 2),
     "bench-skew-sweep-1e200": (["bench", "skew", "--sweep", "1,1e200", "--n", "50", "--iterations", "1"], 2),
+    "plot-seed-2**32": ([*_PLOT, "--seed", "4294967296"], 2),
+    "test-seed-2**32": (["test", "in.csv", "a", "--replicates", "9", "--seed", "4294967296"], 2),
+    "gen-seed-2**32": (["gen", "uniform", "0", "1", "--n", "5", "--seed", "4294967296"], 2),
+    "bench-skew-seed-2**32": ([*_SKEW, "--sweep", "1", "--n", "50", "--seed", "4294967296"], 2),
 }
 
 
