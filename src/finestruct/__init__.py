@@ -21,7 +21,6 @@ from .engine import (
     SkipDiagnostic,
     analyze_feature,
     build_plot_model,
-    derive_seed,
     order_features,
     subsample,
 )
@@ -48,6 +47,7 @@ from .stats_core import (
     DescriptiveStats,
     FeatureSeries,
     ScalingMode,
+    derive_seed,
     describe,
     quantile,
     robust_gaussian_fit,

@@ -35,7 +35,7 @@ from .generators import (
     sample_uniform,
 )
 from .render import render_svg
-from .stats_core import FeatureSeries, ScalingMode, check_count, check_seed, describe, quantile
+from .stats_core import FeatureSeries, ScalingMode, check_count, describe, quantile, substream
 from .stattests import (
     SKEW_UNDEFINED, _null_dips, _null_workers, dagostino_skewness, dip_pvalue_mc,
     dip_statistic, feature_report,
@@ -375,7 +375,7 @@ def run_bench(experiment: str, sweep, iterations: int, B: int, n: int | None, se
     for i, (param, spec) in enumerate(zip(sweep, specs)):
         ps = []
         for t in range(iterations):
-            sample_seed = int(np.random.SeedSequence((seed, i, t)).generate_state(1)[0])
+            sample_seed = substream(seed, i, t)
             if experiment == "bimodal":
                 sample = sample_gauss_mixture(n, spec, sample_seed)
                 d = dip_statistic(sample.values)
@@ -398,7 +398,6 @@ def cmd_bench(args) -> int:
         raise BadSpec("empty sweep")
     check_count("iterations", args.iterations)
     check_count("replicates", args.replicates)
-    check_seed(args.seed)
     rows, summaries = run_bench(args.experiment, sweep, args.iterations,
                                 args.replicates, args.n, args.seed)
     lines = ["param,iteration,p"]

@@ -165,8 +165,7 @@ def pareto_radius(values, seed: int = 0) -> float:
         raise ConstantFeature("all values identical; no radius exists")
     if not float(x.max()) - float(x.min()) < math.inf:
         raise BadRange("the value range overflows the float range")
-    cap = DISTANCE_SAMPLE_CAP
-    sample = np.sort(seeded_subsample(x, cap, seed) if n > cap else x)
+    sample = np.sort(seeded_subsample(x, DISTANCE_SAMPLE_CAP, seed))
     pairs = sample.size * (sample.size - 1) // 2
     if pairs == 1:
         r = float(sample[1] - sample[0])

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,17 +29,18 @@ from .stats_core import (
     check_count,
     check_real,
     check_seed,
+    derive_seed,
     describe,
     robust_gaussian_fit,
     seeded_subsample,
+    substream,
     transform,
 )
 from .stattests import MIN_SKEW_N, TestReport, feature_report
 
 JITTER_HALF_WIDTH = 0.3  # jitter offsets live in [-0.3, 0.3] column widths
 
-# substream tags; larger than any plausible MC replicate index so the
-# (seed, b) replicate streams can never collide with these
+# substream tags; above any plausible MC replicate index i, so apart from stats_core.seeded_rng's (seed, i)
 _TAG_SUBSAMPLE = 2**33 + 1
 _TAG_PDE = 2**33 + 2
 _TAG_JITTER = 2**33 + 3
@@ -77,6 +77,9 @@ class EngineConfig:
         floors = {"sample_size_cap": 1, "min_data": MIN_SKEW_N, "min_unique": 2, "replicates": 1}
         for name, floor in floors.items():
             check_count(name, getattr(self, name), floor)
+        for name in ("robust_gaussian", "boxplot_overlay"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise BadSpec(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.sample_size_cap < self.min_data:
             raise BadSpec("sample_size_cap must be at least min_data")
         check_real("alpha", self.alpha, 0.0, 1.0)
@@ -168,21 +171,10 @@ class PlotModel:
         }
 
 
-def derive_seed(seed: int, name: str) -> int:
-    """Per-feature substream: global seed XOR a stable 32-bit hash of the name."""
-    return check_seed(seed) ^ zlib.crc32(name.encode("utf-8"))
-
-
-def _substream(feature_seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence((feature_seed, tag)).generate_state(1)[0])
-
-
 def subsample(f: FeatureSeries, cap_per_feature: int, seed: int = 0) -> FeatureSeries:
     """Seeded uniform sample without replacement down to the cap."""
-    check_count("cap_per_feature", cap_per_feature)
-    if len(f) <= cap_per_feature:
-        return f
-    return f.with_values(seeded_subsample(f.values, cap_per_feature, seed))
+    values = seeded_subsample(f.values, check_count("cap_per_feature", cap_per_feature), seed)
+    return f if values is f.values else f.with_values(values)
 
 
 def _van_der_corput(start: int, count: int) -> np.ndarray:
@@ -202,7 +194,7 @@ def _van_der_corput(start: int, count: int) -> np.ndarray:
 
 
 def _jitter_offsets(n: int, seed: int) -> np.ndarray:
-    start = _substream(seed, _TAG_JITTER) % 997 + 1
+    start = substream(seed, _TAG_JITTER) % 997 + 1
     return (_van_der_corput(start, n) - 0.5) * (2.0 * JITTER_HALF_WIDTH)
 
 
@@ -240,7 +232,7 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
         return GlyphModel(f.name, "jitter", stats, "Discrete", points=f.values.copy(),
                           offsets=_jitter_offsets(len(f), feature_seed))
 
-    curve = pde_estimate(f.values, seed=_substream(feature_seed, _TAG_PDE))
+    curve = pde_estimate(f.values, seed=substream(feature_seed, _TAG_PDE))
     report = feature_report(f, stats, cfg.replicates, cfg.seed)
     shape_class = _shape_class(report, cfg.alpha)
     overlay = None
@@ -296,7 +288,7 @@ def build_plot_model(features, cfg: EngineConfig) -> PlotModel:
     skipped: list[SkipDiagnostic] = []
     for f in features:
         try:
-            g = subsample(f, cap, _substream(derive_seed(cfg.seed, f.name), _TAG_SUBSAMPLE))
+            g = subsample(f, cap, substream(derive_seed(cfg.seed, f.name), _TAG_SUBSAMPLE))
             g = transform(g, cfg.scaling)
             glyphs.append(analyze_feature(g, cfg))
         except FineStructError as exc:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import PlotModel
 from .errors import BadSpec, NoPlottableFeatures
-from .stats_core import check_real
+from .stats_core import check_real, real_values
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -113,7 +113,7 @@ def gaussian_overlay_path(mu: float, sigma: float, kernels, width_scale: float =
     renderer applies to the density itself, so the two outlines compare.
     """
     mu, sigma = check_real("mu", mu), check_real("sigma", sigma, 0.0, math.inf)
-    k = np.asarray(kernels, dtype=float)
+    k = real_values(kernels)
     pdf = np.exp(-0.5 * ((k - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
     return pdf * width_scale
 
@@ -132,8 +132,8 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
     """Render a plot model to an SVG 1.1 document.
 
     ``reference_lines`` are data-space y values drawn as horizontal lines
-    across the plot; one with no finite pixel row (NaN, inf, or too far off the
-    y range) raises BadSpec.
+    across the plot; one that is not a real number, or has no finite pixel row
+    (NaN, inf, or too far off the y range), raises BadSpec.
     """
     if not model.glyphs:
         raise NoPlottableFeatures("plot model has no glyphs")
@@ -221,8 +221,8 @@ def render_svg(model: PlotModel, reference_lines=()) -> str:
             "text-anchor": "middle", "font-family": "sans-serif", "font-size": "11",
         }, glyph.feature)
 
-    for ref in reference_lines:
-        py = axis.to_px(float(ref))
+    for ref in real_values(reference_lines).tolist():
+        py = axis.to_px(ref)
         if not math.isfinite(py):
             raise BadSpec(f"reference line {ref!r} has no finite pixel row")
         _tag(out, "line", {

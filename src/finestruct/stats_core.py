@@ -11,6 +11,7 @@ import math
 import numbers
 import operator
 import sys
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,13 +37,14 @@ class FeatureSeries:
     missing_count: int = 0
 
     def __post_init__(self):
+        check_name(self.name)
         object.__setattr__(self, "values", finite_values(self.values))
         object.__setattr__(self, "missing_count", check_count("missing_count", self.missing_count, 0))
 
     @classmethod
     def clean(cls, name: str, raw) -> "FeatureSeries":
         """Build a series from raw numbers, dropping NaN/inf into missing_count."""
-        arr = np.asarray(raw, dtype=float).ravel()
+        arr = real_values(raw)
         keep = np.isfinite(arr)
         return cls(name, arr[keep], missing_count=arr.size - keep.sum())
 
@@ -67,8 +69,23 @@ def check_count(name: str, count: int, floor: int = 1, ceiling: int = MAX_COUNT)
 
 
 def check_seed(seed) -> int:
-    """``seed`` as an int; BadSpec outside [0, 2**32), the seeds ``engine.derive_seed`` tells apart."""
+    """``seed`` as an int; BadSpec outside [0, 2**32), the seeds ``derive_seed`` tells apart."""
     return check_count("seed", seed, 0, 2**32 - 1)
+
+
+def derive_seed(seed: int, name: str) -> int:
+    """Per-feature substream: global seed XOR a stable 32-bit hash of the name."""
+    return check_seed(seed) ^ zlib.crc32(check_name(name))
+
+
+def check_name(name) -> bytes:
+    """A feature name's UTF-8 bytes; BadSpec unless ``name`` is a ``str`` that encodes to UTF-8."""
+    try:
+        if isinstance(name, str):
+            return name.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        pass
+    raise BadSpec(f"a feature name must be text in UTF-8, got {name!r}")
 
 
 def check_real(name: str, value, low=-math.inf, high=math.inf, closed=False) -> float:
@@ -93,26 +110,40 @@ def as_member(kind: type[enum.Enum], value, name: str):
         raise BadSpec(f"{name} must be one of {choices}, got {value!r}") from None
 
 
-def finite_values(values) -> np.ndarray:
-    """``values`` as a flat float array; BadSpec if any is NaN or infinite."""
+def real_values(values) -> np.ndarray:
+    """``values`` as a flat float array; BadSpec unless they are real numbers."""
     try:
-        x = np.asarray(values, dtype=float).ravel()
+        return np.asarray(values, dtype=float).ravel()
     except (TypeError, ValueError):
         raise BadSpec("values must be real numbers") from None
+    except OverflowError:  # an int beyond the float range
+        raise BadSpec("values must be finite") from None
+
+
+def finite_values(values) -> np.ndarray:
+    """``values`` as a flat float array; BadSpec if any is NaN or infinite."""
+    x = real_values(values)
     if not np.all(np.isfinite(x)):
         raise BadSpec("values must be finite")
     return x
 
 
-def seeded_rng(seed) -> np.random.Generator:
-    """numpy's PCG64 seeded with ``seed``, checked by ``check_seed``."""
-    return np.random.default_rng(np.random.SeedSequence(check_seed(seed)))
+def seeded_rng(seed, *path) -> np.random.Generator:
+    """numpy's PCG64 keyed by ``(seed, *path)``, with ``seed`` checked; ``(seed,)`` keys ``seed``'s stream."""
+    return np.random.default_rng(np.random.SeedSequence((check_seed(seed), *path)))
 
 
-def seeded_subsample(values: np.ndarray, size: int, seed: int) -> np.ndarray:
-    """Seeded uniform draw of ``size`` values without replacement, in input order."""
-    rng = seeded_rng(seed)
-    idx = rng.choice(values.size, size=size, replace=False)
+def substream(seed, *path) -> int:
+    """A 32-bit seed keyed by ``(seed, *path)``, with ``seed`` checked by ``check_seed``."""
+    return int(np.random.SeedSequence((check_seed(seed), *path)).generate_state(1)[0])
+
+
+def seeded_subsample(values: np.ndarray, cap: int, seed: int) -> np.ndarray:
+    """``values`` itself if it holds at most ``cap``, else a seeded uniform draw of ``cap`` in input order."""
+    seed = check_seed(seed)
+    if values.size <= cap:
+        return values
+    idx = seeded_rng(seed).choice(values.size, size=cap, replace=False)
     idx.sort()
     return values[idx]
 

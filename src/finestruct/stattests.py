@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConstantFeature, TooFewPoints
 from .stats_core import (DescriptiveStats, FeatureSeries, check_count, check_real, check_seed, finite_values,
-                         moments, unit_scaled)
+                         moments, seeded_rng, unit_scaled)
 
 SKEW_UNDEFINED = "skewness undefined for a constant sample"
 MIN_SKEW_N = 9  # fewest values the skewness test's Johnson S_U fit accepts
@@ -293,7 +293,7 @@ def _null_range(n: int, lo: int, hi: int, seed: int) -> np.ndarray:
     for start in range(lo, hi, rows):
         block = np.empty((min(rows, hi - start), n))
         for i, row in enumerate(block, start):
-            np.random.default_rng(np.random.SeedSequence((seed, i))).random(out=row)
+            seeded_rng(seed, i).random(out=row)
         block.sort(axis=1)
         out[start - lo:start - lo + len(block)] = _dips_sorted(block)
     return out

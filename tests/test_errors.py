@@ -8,6 +8,12 @@ import finestruct as fs
 
 NAN, INF = math.nan, math.inf
 SAMPLE = fs.FeatureSeries("x", np.random.default_rng(5).normal(size=300))
+SMALL = fs.FeatureSeries("x", SAMPLE.values[:100])  # below every subsample cap
+
+
+def _model():
+    return fs.build_plot_model([SAMPLE], fs.EngineConfig(replicates=10))
+
 
 # each call rejects its input; the id names the rule it breaks
 REJECTED = {
@@ -53,6 +59,20 @@ REJECTED = {
     "series-missing-nan": lambda: fs.FeatureSeries("x", [1.0], missing_count=NAN),
     "series-missing-fraction": lambda: fs.FeatureSeries("x", [1.0], missing_count=1.5),
     "series-missing-text": lambda: fs.FeatureSeries("x", [1.0], missing_count="a"),
+    "pde-seed-2**40-uncapped": lambda: fs.pde_estimate(SMALL.values, seed=2**40),
+    "pareto-negative-seed-uncapped": lambda: fs.pareto_radius(SMALL.values, seed=-1),
+    "subsample-negative-seed-uncapped": lambda: fs.subsample(SMALL, 200, seed=-5),
+    "subsample-seed-fraction-uncapped": lambda: fs.subsample(SMALL, 200, seed=1.5),
+    "series-name-surrogate": lambda: fs.FeatureSeries("\ud800", SMALL.values),
+    "series-name-int": lambda: fs.FeatureSeries(5, SMALL.values),
+    "derive-seed-int-name": lambda: fs.derive_seed(0, 5),
+    "config-robust-gaussian-text": lambda: fs.EngineConfig(robust_gaussian="no"),
+    "config-boxplot-overlay-int": lambda: fs.EngineConfig(boxplot_overlay=1),
+    "svg-text-line": lambda: fs.render_svg(_model(), ["a"]),
+    "svg-none-line": lambda: fs.render_svg(_model(), [None]),
+    "series-clean-text": lambda: fs.FeatureSeries.clean("a", ["a"]),
+    "series-int-beyond-floats": lambda: fs.FeatureSeries("x", [10**400]),
+    "overlay-text-kernels": lambda: fs.gaussian_overlay_path(0, 1, ["a"]),
 }
 
 
