@@ -13,24 +13,21 @@ bit alike. The dip's p-value comes from seeded Monte Carlo against the
 uniform null, which depends only on (seed, n, B) (Hartigan & Hartigan 1985):
 ``_null_dips`` caches it on that key, so every sample of equal n tested at one
 seed and B reuses one null, and splits it across the usable CPUs with ``fork``
-without changing a byte: each forked worker writes its replicates into one
-anonymous shared mapping. ``feature_report`` records that seed in
-``TestReport.seed``. Skewness uses the classic transformation of g1 (from
-``describe`` in ``feature_report``) to an approximately standard-normal z.
+(``_split.split_fill``) without changing a byte. ``feature_report`` records
+that seed in ``TestReport.seed``. Skewness uses the classic transformation of
+g1 (from ``describe`` in ``feature_report``) to an approximately
+standard-normal z.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-import mmap
-import os
-import signal
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._split import split_fill, usable_workers
 from .errors import ConstantFeature, TooFewPoints
 from .stats_core import (DescriptiveStats, FeatureSeries, check_count, check_real, check_seed, finite_values,
                          moments, seeded_rng, unit_scaled)
@@ -299,14 +296,6 @@ def _null_range(n: int, lo: int, hi: int, seed: int) -> np.ndarray:
     return out
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call, e.g. macOS
-        return os.cpu_count() or 1
-
-
 @functools.cache
 def _null_dips(n: int, b: int, seed: int) -> np.ndarray:
     """Dips of B seeded uniform(0,1) samples of size n (the dip-test null).
@@ -314,59 +303,20 @@ def _null_dips(n: int, b: int, seed: int) -> np.ndarray:
     Every null of a process is kept (8·B bytes per key), so a run never
     computes one twice, however many distinct n its columns have. The
     replicates are split into k contiguous ranges, one per usable CPU with
-    at least ``_MIN_SPLIT_POINTS`` points each; the parent computes the
-    first and a forked child each other one, writing into its slice of an
-    anonymous mapping that fork shares. Replicate i depends only on
-    (seed, i), so the bytes are the same for every k. A child that does not
-    exit 0, or a fork or mapping that fails, leaves its range to the parent,
-    and a process without ``fork`` or running other threads uses k = 1.
+    at least ``_MIN_SPLIT_POINTS`` points each, and ``_split.split_fill``
+    computes them at once in forked children. Replicate i depends only on
+    (seed, i), so the bytes are the same for every k and whichever process
+    computes a range.
     """
-    k = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:  # fork is unsafe beside threads
-        k = max(1, min(_usable_cpus(), b, n * b // _MIN_SPLIT_POINTS))
-    out = np.empty(b)
-    if k > 1:
-        try:
-            out = np.frombuffer(mmap.mmap(-1, 8 * b))
-        except OSError:
-            k = 1
+    k = max(1, min(usable_workers(), b, n * b // _MIN_SPLIT_POINTS))
     bounds = [b * j // k for j in range(k + 1)]
 
-    def fill(j):
-        out[bounds[j]:bounds[j + 1]] = _null_range(n, bounds[j], bounds[j + 1], seed)
+    def fill(buffer, j):
+        np.frombuffer(buffer)[bounds[j]:bounds[j + 1]] = _null_range(n, bounds[j], bounds[j + 1], seed)
 
-    children = []  # (range index, pid), unreaped
-    try:
-        for j in range(1, k):
-            try:
-                pid = os.fork()
-            except OSError:
-                break
-            if pid == 0:  # the child never returns: no atexit hook, no inherited buffer flushed
-                code = 1
-                try:
-                    fill(j)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children.append((j, pid))
-        for j in [0, *range(len(children) + 1, k)]:
-            fill(j)
-        workers = 1
-        while children:
-            j, pid = children[0]
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            if status == 0:
-                workers += 1
-            else:
-                fill(j)
-    finally:
-        for _, pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    buffer, workers = split_fill(k, 8 * b, fill)
     _null_workers.append(workers)
-    null = out.copy()  # a plain array for the cache; the mapping is freed with its view
+    null = np.frombuffer(buffer).copy()  # a plain array for the cache; a mapping is freed with its view
     null.setflags(write=False)
     return null
 

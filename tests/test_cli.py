@@ -1,7 +1,10 @@
 import dataclasses
+import errno
 import json
+import mmap
 import os
 import re
+import signal
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -65,6 +68,105 @@ class TestReadCsv:
         feats = read_csv_features(str(p))
         assert feats[0].name == "name a"
         assert feats[0].values[0] == 1.5
+
+
+def _columns(path):
+    """Each feature's (name, value bytes, missing count) as read, or the CsvError message."""
+    try:
+        return [(f.name, f.values.tobytes(), f.missing_count) for f in read_csv_features(str(path))]
+    except CsvError as exc:
+        return str(exc)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """``split(k)`` gives the next reads k usable CPUs and a 1-byte floor; it returns the list
+    of every split's range count."""
+    ranges = []
+    split_fill = cli.split_fill
+
+    def spy(k, nbytes, fill):
+        ranges.append(k)
+        return split_fill(k, nbytes, fill)
+
+    monkeypatch.setattr(cli, "split_fill", spy)
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 1)
+
+    def force(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        return ranges
+    return force
+
+
+def _cut_file(payload: bytes, k: int, newline: bytes = b"\n") -> bytes:
+    """A header and k body blocks of equal length, so that the last cut falls just before
+    ``payload``: each block is a padded row and then a plain row, or in the last, the payload."""
+    tails = [newline.join([b"3,4", b""])] * (k - 1) + [payload]
+    size = max(map(len, tails)) + 8
+    blocks = [b"1," + b" " * (size - len(tail) - 3 - len(newline)) + b"2" + newline + tail
+              for tail in tails]
+    return b"a,b" + newline + b"".join(blocks)
+
+
+class TestSplitReader:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("payload, newline", [
+        (b"5,6\r\n7,\r\n", b"\r\n"),
+        ("\ufeff5,6\n7,8\n".encode(), b"\n"),  # U+FEFF opens a line: a missing cell, not a BOM
+        (b"5,6\n7,8", b"\n"),
+        (b"\n5,6\n", b"\n"),
+        (b"5,6\n7,8,9\n", b"\n"),
+        (b"5,\xff6\n", b"\n"),
+        (b"5\x00,6\n", b"\n"),
+        (b'5,"6"\n', b"\n"),
+    ], ids=["crlf", "feff", "no-final-newline", "blank-line", "long-row", "bad-utf8", "nul",
+            "quote"])
+    def test_cut_at_edge_case_reads_as_serial(self, tmp_path, split, k, payload, newline):
+        path = tmp_path / "x.csv"
+        path.write_bytes(_cut_file(payload, k, newline))
+        ranges = split(1)
+        want = _columns(path)
+        assert ranges == []  # one CPU reads serially
+        split(k)
+        assert _columns(path) == want
+        assert ranges == ([] if b'"' in payload else [k])
+        _assert_no_child()
+
+    def test_feff_cell_is_missing(self, tmp_path, split):
+        path = tmp_path / "x.csv"
+        path.write_bytes(_cut_file("\ufeff5,6\n".encode(), 2))
+        ranges = split(2)
+        assert [f.missing_count for f in read_csv_features(str(path))] == [1, 0]
+        assert ranges == [2]
+
+    @pytest.mark.parametrize("fault", ["fork", "mmap", "killed"])
+    def test_fault_reads_same_columns(self, tmp_path, split, monkeypatch, fault):
+        path = _write_normal_csv(tmp_path / "x.csv", n=200, cols=("a", "b", "c"))
+        split(1)
+        want = _columns(path)
+        if fault == "killed":
+            parent, extend = os.getpid(), cli._extend_columns
+
+            def child_dies(cols, rows):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                extend(cols, rows)
+
+            monkeypatch.setattr(cli, "_extend_columns", child_dies)
+        else:
+            def unavailable(*args):
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+            monkeypatch.setattr(*{"fork": (os, "fork"), "mmap": (mmap, "mmap")}[fault], unavailable)
+        ranges = split(3)
+        assert _columns(path) == want
+        assert ranges == [3]
+        _assert_no_child()
 
 
 class TestPlotCommand:

@@ -282,6 +282,30 @@ def test_reader_matches_per_cell_reference(text):
     _assert_reader_matches_reference(text)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.one_of(csv_texts(), reader_csv_texts()))
+def test_split_reader_matches_per_cell_reference(text):
+    # a 1-byte floor splits every file with a line below the header, unless a
+    # quoted cell keeps it in one process
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        expected = _read_columns(read_csv_reference, path)
+        for cpus in (2, 3, 4):
+            for chunk in (1, cli._CHUNK_ROWS):
+                with mock.patch.object(cli, "_SPLIT_BYTES", 1), \
+                        mock.patch.object(cli, "_CHUNK_ROWS", chunk), \
+                        mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                          create=True):
+                    got = _read_columns(
+                        lambda p: [(f.name, f.values, f.missing_count) for f in read_csv_features(p)],
+                        path)
+                assert got == expected, (cpus, chunk)
+    with pytest.raises(ChildProcessError):  # every forked reader was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("text", ["a,b\n", "a,b", "a\n\n", "a\n1\n2,3\n"],
                          ids=["header-only", "no-newline", "one-blank-row", "long-row"])
 def test_reader_matches_reference_on_edge_files(text):
