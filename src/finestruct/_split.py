@@ -5,7 +5,9 @@ The dip null (``stattests._null_dips``) and the CSV reader
 each written into its own part of one buffer. ``split_fill`` computes range 0
 in the process itself and every other range in a child it forks, which writes
 into an anonymous mapping that ``fork`` shares. The bytes are the same
-whichever process fills a range, so the result does not depend on k.
+whichever process fills a range, so the result does not depend on k. A split
+fills every range or raises; it retries nothing, and each caller falls back
+to its own serial computation.
 """
 from __future__ import annotations
 
@@ -28,32 +30,20 @@ def usable_workers() -> int:
         return os.cpu_count() or 1
 
 
-def split_fill(k: int, nbytes: int, fill) -> tuple:
-    """Call ``fill(buffer, j)`` for each range 0 <= j < k of an nbytes buffer; return (buffer, workers).
+def split_fill(k: int, nbytes: int, fill):
+    """Call ``fill(buffer, j)`` for each range 0 <= j < k of an anonymous shared nbytes mapping; return it.
 
-    With k > 1 the buffer is an anonymous shared mapping, range 0 is filled
-    here and range j > 0 by the j-th forked child. A range whose fork fails,
-    or whose child does not exit 0, is filled here; so is every range when
-    the mapping cannot be made, or when k is 1 (a plain bytearray then).
-    ``workers`` counts this process and the children that exited 0. An
-    exception here, from ``fill`` too, kills the children still running and
-    reaps them before it propagates; a child never returns into the caller.
+    Range 0 is filled here and range j > 0 by the j-th forked child. Every
+    range is filled, or this raises: the mapping's or a fork's OSError,
+    ChildProcessError (an OSError) for a child that does not exit 0, or what
+    ``fill`` raises here. Before an exception propagates, the children still
+    running are killed and reaped; a child never returns into the caller.
     """
-    shared = k > 1
-    if shared:
-        try:
-            buffer = mmap.mmap(-1, nbytes)
-        except OSError:
-            shared = False
-    if not shared:
-        buffer = bytearray(nbytes)
-    children = []  # (range index, pid), unreaped
+    buffer = mmap.mmap(-1, nbytes)
+    children = []  # unreaped pids, in range order
     try:
-        for j in range(1, k if shared else 1):
-            try:
-                pid = os.fork()
-            except OSError:
-                break
+        for j in range(1, k):
+            pid = os.fork()
             if pid == 0:  # the child never returns: no atexit hook, no inherited buffer flushed
                 code = 1
                 try:
@@ -61,20 +51,15 @@ def split_fill(k: int, nbytes: int, fill) -> tuple:
                     code = 0
                 finally:
                     os._exit(code)
-            children.append((j, pid))
-        for j in [0, *range(len(children) + 1, k)]:
-            fill(buffer, j)
-        workers = 1
+            children.append(pid)
+        fill(buffer, 0)
         while children:
-            j, pid = children[0]
-            status = os.waitpid(pid, 0)[1]
+            status = os.waitpid(children[0], 0)[1]
             del children[0]
-            if status == 0:
-                workers += 1
-            else:
-                fill(buffer, j)
+            if status != 0:
+                raise ChildProcessError(f"a split's child ended with wait status {status}")
     finally:
-        for _, pid in children:
+        for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return buffer, workers
+    return buffer

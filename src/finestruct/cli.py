@@ -77,7 +77,8 @@ def read_csv_features(path: str) -> list[FeatureSeries]:
     Rows are converted ``_CHUNK_ROWS`` at a time into 8 bytes per cell. A
     file of at least two ``_SPLIT_BYTES`` in which every line is one row (no
     '"', no '\\r' outside '\\r\\n') is read in one process per usable CPU
-    (``_read_split``); any failure there reads it again serially, so every
+    (``_read_split``). Any failure of that split, in a range or in
+    ``_split.split_fill``, reads the whole file once more serially, so every
     value and error message is the serial reader's.
     """
     try:
@@ -211,7 +212,7 @@ def _read_split(path: str) -> list[FeatureSeries] | None:
         if at != stop:
             raise CsvError(f"{path} changed while it was read")
 
-    buffer, _ = split_fill(len(cuts) - 1, 8 * width * rows, fill)
+    buffer = split_fill(len(cuts) - 1, 8 * width * rows, fill)
     return [FeatureSeries.clean(name, col)
             for name, col in zip(names, np.frombuffer(buffer).reshape(width, rows))]
 

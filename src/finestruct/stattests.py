@@ -304,9 +304,11 @@ def _null_dips(n: int, b: int, seed: int) -> np.ndarray:
     computes one twice, however many distinct n its columns have. The
     replicates are split into k contiguous ranges, one per usable CPU with
     at least ``_MIN_SPLIT_POINTS`` points each, and ``_split.split_fill``
-    computes them at once in forked children. Replicate i depends only on
-    (seed, i), so the bytes are the same for every k and whichever process
-    computes a range.
+    computes them at once in forked children; if that split fails (a
+    mapping, a fork or a child), this process computes the whole null.
+    Replicate i depends only on (seed, i), so the bytes are the same for
+    every k and whichever process computes a range. ``_null_workers`` gets
+    the number of processes that computed it: k, or 1 after a failed split.
     """
     k = max(1, min(usable_workers(), b, n * b // _MIN_SPLIT_POINTS))
     bounds = [b * j // k for j in range(k + 1)]
@@ -314,9 +316,14 @@ def _null_dips(n: int, b: int, seed: int) -> np.ndarray:
     def fill(buffer, j):
         np.frombuffer(buffer)[bounds[j]:bounds[j + 1]] = _null_range(n, bounds[j], bounds[j + 1], seed)
 
-    buffer, workers = split_fill(k, 8 * b, fill)
-    _null_workers.append(workers)
-    null = np.frombuffer(buffer).copy()  # a plain array for the cache; a mapping is freed with its view
+    if k > 1:
+        try:
+            null = np.frombuffer(split_fill(k, 8 * b, fill)).copy()  # a plain array for the cache
+        except OSError:  # no mapping, a fork or a child failed: computed here instead
+            k = 1
+    if k == 1:
+        null = _null_range(n, 0, b, seed)
+    _null_workers.append(k)
     null.setflags(write=False)
     return null
 

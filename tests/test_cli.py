@@ -168,6 +168,44 @@ class TestSplitReader:
         assert ranges == [3]
         _assert_no_child()
 
+    def test_fork_fails_after_first_child(self, tmp_path, split, monkeypatch):
+        path = _write_normal_csv(tmp_path / "x.csv", n=200, cols=("a", "b", "c"))
+        split(1)
+        want = _columns(path)
+        fork, pids = os.fork, []
+
+        def fork_once():
+            if pids:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            pids.append(fork())
+            return pids[-1]
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        ranges = split(3)
+        assert _columns(path) == want
+        assert ranges == [3] and len(pids) == 1
+        _assert_no_child()
+
+    def test_parent_never_parses_a_failed_childs_range(self, tmp_path, split, monkeypatch):
+        path = tmp_path / "x.csv"
+        path.write_bytes(_cut_file(b"5,6\n7,8,9\n", 2))  # a too-long row in the last range
+        split(1)
+        want = _columns(path)
+        parent, row_chunks, calls = os.getpid(), cli._row_chunks, []
+
+        def spy(*args):
+            if os.getpid() == parent:
+                calls.append(args)
+            return row_chunks(*args)
+
+        monkeypatch.setattr(cli, "_row_chunks", spy)
+        ranges = split(2)
+        assert _columns(path) == want
+        assert "line" in want
+        assert ranges == [2]
+        assert len(calls) == 2  # range 0, then the serial re-read for the message
+        _assert_no_child()
+
 
 class TestPlotCommand:
     def test_writes_three_outputs(self, tmp_path):

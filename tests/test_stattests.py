@@ -28,6 +28,7 @@ from finestruct import (
     pareto_radius,
 )
 from finestruct import stattests
+from finestruct._split import split_fill
 from finestruct.cli import main
 from finestruct.stats_core import MAX_COUNT
 from finestruct.stattests import _dips_sorted, _skew_z
@@ -388,6 +389,37 @@ class TestNullSplit:
         with pytest.raises(KeyboardInterrupt):
             stattests._null_dips(300, 90, 5)
         assert time.perf_counter() - t0 < 30
+        _assert_no_child()
+
+    def test_fork_fails_after_first_child(self, workers, monkeypatch):
+        want = stattests._null_range(300, 0, 90, 5).tobytes()
+        fork, pids = os.fork, []
+
+        def fork_once():
+            if pids:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            pids.append(fork())
+            return pids[-1]
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        workers(3)
+        assert stattests._null_dips(300, 90, 5).tobytes() == want
+        assert stattests._null_workers[-1] == 1
+        assert len(pids) == 1
+        _assert_no_child()
+
+
+class TestSplitFill:
+    def test_failed_child_raises(self):
+        parent = os.getpid()
+
+        def fill(buffer, j):
+            if os.getpid() != parent:
+                raise RuntimeError("child fails")
+            buffer[8 * j:8 * j + 8] = bytes(8)
+
+        with pytest.raises(ChildProcessError):
+            split_fill(3, 24, fill)
         _assert_no_child()
 
 
