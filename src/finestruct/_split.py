@@ -21,6 +21,9 @@ def usable_workers() -> int:
     """Processes a split may use: the CPUs this process may run on, or 1 where it cannot fork.
 
     A process without ``fork``, or running other threads, cannot fork safely.
+    The check counts Python threads only, not native ones such as a BLAS
+    thread pool; the CLI starts none of either (it runs OpenBLAS with one
+    thread).
     """
     if not hasattr(os, "fork") or threading.active_count() != 1:
         return 1
