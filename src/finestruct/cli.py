@@ -80,8 +80,8 @@ def read_csv_features(path: str) -> list[FeatureSeries]:
     decoded, or that the csv module rejects, raises CsvError naming the path.
 
     Rows are converted ``_CHUNK_ROWS`` at a time into 8 bytes per cell. A
-    file of at least two ``_SPLIT_BYTES`` in which every line is one row (no
-    '"', no '\\r' outside '\\r\\n') is read in one process per usable CPU
+    file of at least two ``_SPLIT_BYTES`` with no '\\r' outside '\\r\\n' and
+    no '"' below its header is read in one process per usable CPU
     (``_read_split``). Any failure of that split, in a range or in
     ``_split.split_fill``, reads the whole file once more serially, so every
     value and error message is the serial reader's.
@@ -154,24 +154,26 @@ def _newlines(data: bytes) -> int:
 
 
 def _read_split(path: str) -> list[FeatureSeries] | None:
-    """The features of ``path`` read in k = min(usable CPUs, size // _SPLIT_BYTES) processes.
+    """The features of ``path`` read in k = ``usable_workers(size // _SPLIT_BYTES)`` processes.
 
-    None when k < 2, when no row follows the header, or when a line may not
-    be one row (``_lines_are_rows``). One pass over the bytes cuts the body
-    just after a newline near each k-th of it and counts the lines, so the
-    rows, before each cut. Each range is decoded as plain UTF-8 (a U+FEFF
-    there is a cell's text, not a BOM) and read by the serial reader's row
-    loop into its rows of one shared column-major buffer
+    None when k < 2, when no row follows the header, when the header holds a
+    '\\r' outside '\\r\\n' or a line below it may not be one row
+    (``_lines_are_rows``). The header is parsed with ``strict=True``, so an
+    open or misplaced quote raises csv.Error. One pass over the bytes cuts
+    the body just after a newline near each k-th of it and counts the lines,
+    so the rows, before each cut. Each range is decoded as plain UTF-8 (a
+    U+FEFF there is a cell's text, not a BOM) and read by the serial reader's
+    row loop into its columns of one (width, rows) array
     (``_split.split_fill``). Raises on any failure, a range with too few rows
     included.
     """
     size = os.stat(path).st_size
-    k = min(usable_workers(), size // _SPLIT_BYTES)
+    k = usable_workers(size // _SPLIT_BYTES)
     if k < 2:
         return None
     with open(path, "rb") as fh:
         head = fh.readline()
-        if not _lines_are_rows(head):
+        if head.count(b"\r") != head.count(b"\r\n"):  # a lone '\r' ends a csv row
             return None
         pos = len(head)
         targets = [pos + (size - pos) * j // k for j in range(1, k)]
@@ -200,11 +202,10 @@ def _read_split(path: str) -> list[FeatureSeries] | None:
         del cuts[-1], lines[-1]
     cuts.append(pos)
     lines.append(rows)
-    names = _header(csv.reader([head.decode("utf-8-sig")]), path)
+    names = _header(csv.reader([head.decode("utf-8-sig")], strict=True), path)
     width = len(names)
 
-    def fill(buffer, j):
-        out = np.frombuffer(buffer).reshape(width, rows)
+    def fill(out, j):
         at, stop = lines[j], lines[j + 1]
         with open(path, "rb") as raw:
             raw.seek(cuts[j])
@@ -217,9 +218,8 @@ def _read_split(path: str) -> list[FeatureSeries] | None:
         if at != stop:
             raise CsvError(f"{path} changed while it was read")
 
-    buffer = split_fill(len(cuts) - 1, 8 * width * rows, fill)
     return [FeatureSeries.clean(name, col)
-            for name, col in zip(names, np.frombuffer(buffer).reshape(width, rows))]
+            for name, col in zip(names, split_fill(len(cuts) - 1, (width, rows), fill))]
 
 
 _GEN_PARAMS = {"uniform": "LOW HIGH", "gaussmix": "MEAN:SD:WEIGHT,...", "skewnorm": "XI"}

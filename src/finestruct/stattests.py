@@ -310,15 +310,15 @@ def _null_dips(n: int, b: int, seed: int) -> np.ndarray:
     every k and whichever process computes a range. ``_null_workers`` gets
     the number of processes that computed it: k, or 1 after a failed split.
     """
-    k = max(1, min(usable_workers(), b, n * b // _MIN_SPLIT_POINTS))
+    k = usable_workers(min(b, n * b // _MIN_SPLIT_POINTS))
     bounds = [b * j // k for j in range(k + 1)]
 
-    def fill(buffer, j):
-        np.frombuffer(buffer)[bounds[j]:bounds[j + 1]] = _null_range(n, bounds[j], bounds[j + 1], seed)
+    def fill(out, j):
+        out[bounds[j]:bounds[j + 1]] = _null_range(n, bounds[j], bounds[j + 1], seed)
 
     if k > 1:
         try:
-            null = np.frombuffer(split_fill(k, 8 * b, fill)).copy()  # a plain array for the cache
+            null = split_fill(k, b, fill).copy()  # a plain array for the cache
         except OSError:  # no mapping, a fork or a child failed: computed here instead
             k = 1
     if k == 1:

@@ -137,6 +137,30 @@ class TestSplitReader:
         assert ranges == ([] if b'"' in payload else [k])
         _assert_no_child()
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_quoted_header_splits(self, tmp_path, split, k):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b'"a","b"' + _cut_file(b"5,6\n7,\n", k)[len(b"a,b"):])
+        ranges = split(1)
+        want = _columns(path)
+        split(k)
+        assert _columns(path) == want
+        assert [name for name, _, _ in want] == ["a", "b"]
+        assert ranges == [k]
+        _assert_no_child()
+
+    @pytest.mark.parametrize("header", [b'"a\n', b'a"b,"c\n', b"a\r\r\n"],
+                             ids=["open-quote", "misplaced-quote", "lone-cr"])
+    def test_header_csv_reads_otherwise_stays_serial(self, tmp_path, split, header):
+        path = tmp_path / "x.csv"
+        path.write_bytes(header + b"".join(b"%d\n" % i for i in range(12)))
+        ranges = split(1)
+        want = _columns(path)
+        split(2)
+        assert _columns(path) == want
+        assert ranges == []
+        _assert_no_child()
+
     def test_feff_cell_is_missing(self, tmp_path, split):
         path = tmp_path / "x.csv"
         path.write_bytes(_cut_file("\ufeff5,6\n".encode(), 2))
@@ -649,6 +673,7 @@ EXIT_CASES = {
     "bench-iterations-0": (["bench", "bimodal", "--sweep", "2", "--n", "50", "--iterations", "0"], 2),
     "bench-skew-sweep-0": (["bench", "skew", "--sweep", "0", "--n", "50", "--iterations", "1"], 2),
     "bench-skew-sweep-1e200": (["bench", "skew", "--sweep", "1,1e200", "--n", "50", "--iterations", "1"], 2),
+    "bench-sweep-text": (["bench", "bimodal", "--sweep", "abc", "--n", "50", "--iterations", "1"], 2),
     "plot-seed-2**32": ([*_PLOT, "--seed", "4294967296"], 2),
     "test-seed-2**32": (["test", "in.csv", "a", "--replicates", "9", "--seed", "4294967296"], 2),
     "gen-seed-2**32": (["gen", "uniform", "0", "1", "--n", "5", "--seed", "4294967296"], 2),
@@ -677,6 +702,8 @@ def test_exit_code_policy(tmp_path, monkeypatch, capsys, case):
     err = capsys.readouterr().err
     if expected == 2:
         assert "error:" in err and "Traceback" not in err
+        if case == "bench-sweep-text":
+            assert "'abc' is not a finite number" in err
         return
     assert err == ""
     if argv[0] != "plot":  # the output went to stdout

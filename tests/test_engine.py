@@ -103,6 +103,14 @@ class TestAnalyzeFeature:
         assert glyph.shape_class == "Skewed"
         assert glyph.gaussian_overlay is None and glyph.report is not None
 
+    def test_zero_iqr_density_gets_no_overlay(self):
+        # GaussianLike, but q25 = q75 leaves no spread for the robust fit
+        vals = np.concatenate([np.zeros(60), np.linspace(-2, 2, 40)])
+        glyph = analyze_feature(FeatureSeries("z", vals), FAST)
+        assert glyph.kind == "density" and glyph.shape_class == "GaussianLike"
+        assert glyph.stats.q25 == glyph.stats.q75 == 0.0
+        assert glyph.gaussian_overlay is None
+
     def test_no_gaussian_disables_overlay(self):
         cfg = EngineConfig(replicates=200, seed=7, robust_gaussian=False)
         glyph = analyze_feature(_normal("n", 2000, 5), cfg)
@@ -257,6 +265,13 @@ class TestBuildPlotModel:
         model = build_plot_model([good, const], cfg)
         assert [g.feature for g in model.glyphs] == ["good"]
         assert model.skipped[0].feature == "const"
+
+    def test_subnormal_radius_skipped(self):
+        levels = FeatureSeries("sub", np.repeat(5e-324 * np.arange(1, 13), 50))
+        model = build_plot_model([_normal("good", 200, 8), levels], FAST)
+        assert [g.feature for g in model.glyphs] == ["good"]
+        assert [(s.feature, s.reason) for s in model.skipped] == [
+            ("sub", "BadRange: radius 5e-324 is below float resolution")]
 
     def test_pipeline_deterministic(self):
         feats = [_normal("a", 500, 5), _bimodal("b", 600, 6), _normal("c", 40, 7)]

@@ -413,13 +413,13 @@ class TestSplitFill:
     def test_failed_child_raises(self):
         parent = os.getpid()
 
-        def fill(buffer, j):
+        def fill(out, j):
             if os.getpid() != parent:
                 raise RuntimeError("child fails")
-            buffer[8 * j:8 * j + 8] = bytes(8)
+            out[j] = 0.0
 
         with pytest.raises(ChildProcessError):
-            split_fill(3, 24, fill)
+            split_fill(3, 3, fill)
         _assert_no_child()
 
 
