@@ -1,7 +1,7 @@
 """Split a computation into ranges that forked children fill at once: the one owner of its layout and size.
 
 The dip null (``stattests._null_dips``) and the CSV reader
-(``cli.read_csv_features``) each ask ``usable_workers`` for the processes
+(``csvread.read_csv_features``) each ask ``usable_workers`` for the processes
 their work allows and give ``split_fill`` a float64 shape and a function that
 fills range j of it. Range 0 is filled in the process itself and every other
 range in a forked child, which writes into an anonymous mapping that ``fork``

@@ -2,7 +2,8 @@
 
 Subcommands: ``plot`` (CSV in, SVG + JSON report + manifest out), ``test``
 (dip and skewness report for one column), ``gen`` (synthetic one-column CSV)
-and ``bench`` (Monte Carlo sweeps of the two tests).
+and ``bench`` (Monte Carlo sweeps of the two tests). ``finestruct.csvread``
+reads the CSV: every column for ``plot``, the tested one alone for ``test``.
 
 Exit codes, set by ``main`` alone: 0 on success, 3 when every feature was
 skipped, 2 for any other FineStructError, OSError or MemoryError (unreadable
@@ -12,28 +13,21 @@ other exception is a program fault.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
-import itertools
 import json
 import math
 import os
 import re
 import sys
 import time
-from array import array
-from collections import Counter
 
 # numpy's OpenBLAS starts one worker thread per CPU on import, and each spins
 # for about 0.13 s of CPU. The CLI calls no BLAS routine and splits its work
 # by fork, so it runs OpenBLAS with one thread, whatever the environment says.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
-
 from . import __version__
-from ._split import split_fill, usable_workers
+from .csvread import read_csv_features
 from .engine import EngineConfig, Ordering, build_plot_model
 from .errors import BadSpec, FineStructError, NoPlottableFeatures
 from .generators import (
@@ -44,183 +38,11 @@ from .generators import (
     sample_uniform,
 )
 from .render import render_svg
-from .stats_core import FeatureSeries, ScalingMode, check_count, describe, quantile, substream
+from .stats_core import ScalingMode, check_count, describe, quantile, substream
 from .stattests import (
     SKEW_UNDEFINED, _null_dips, _null_workers, dagostino_skewness, dip_pvalue_mc,
     dip_statistic, feature_report,
 )
-
-class CsvError(FineStructError):
-    pass
-
-
-# Rows held as cell strings before they are converted per column. A chunk's
-# row lists stay below CPython's 700 allocations that start a young-generation
-# garbage collection, so the read runs almost none: tall_ingest's CSV (100 000
-# rows) ran 223 collections, 22 of them of older generations, in chunks of
-# 4096 rows, and reads in 258 ms instead of 311 ms of CPU in chunks of 512.
-_CHUNK_ROWS = 512
-# A file is split only so far that each process reads at least this many
-# bytes. One process reads 1 MiB of a 6-column CSV of normals in 27 ms. A
-# split adds a byte scan (about 1 ms per MiB), a fork and reap (3 ms) and the
-# copy-on-write faults of both processes: split in two, 1 MiB read in 25-30 ms,
-# 2 MiB in 52-56 ms instead of 59-60 ms, and 4 MiB in 94 ms instead of 116-118
-# ms (medians of 12; 2-core VM shared with other load). The byte scan reads
-# blocks of this size too.
-_SPLIT_BYTES = 1 << 20
-
-
-def read_csv_features(path: str) -> list[FeatureSeries]:
-    """Parse a headered UTF-8 CSV into per-column features.
-
-    A cell counts as missing when the row ends before it or when, stripped of
-    whitespace, it does not parse as a finite number with a '.' decimal point
-    ('', 'NA', 'NaN' and 'inf' included). Column names must be unique and no
-    row may have more cells than the header. A file that cannot be opened or
-    decoded, or that the csv module rejects, raises CsvError naming the path.
-
-    Rows are converted ``_CHUNK_ROWS`` at a time into 8 bytes per cell. A
-    file of at least two ``_SPLIT_BYTES`` with no '\\r' outside '\\r\\n' and
-    no '"' below its header is read in one process per usable CPU
-    (``_read_split``). Any failure of that split, in a range or in
-    ``_split.split_fill``, reads the whole file once more serially, so every
-    value and error message is the serial reader's.
-    """
-    try:
-        features = _read_split(path)
-    except (FineStructError, OSError, UnicodeDecodeError, csv.Error):
-        features = None
-    if features is not None:
-        return features
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
-            reader = csv.reader(fh)
-            names = _header(reader, path)
-            cols = [array("d") for _ in names]
-            for rows in _row_chunks(reader, len(names), path):
-                _extend_columns(cols, rows)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise CsvError(f"cannot read {path}: {exc}") from exc
-    return [FeatureSeries.clean(name, np.frombuffer(col)) for name, col in zip(names, cols)]
-
-
-def _header(reader, path: str) -> list[str]:
-    """The stripped column names of ``reader``'s first row; CsvError if none or one repeats."""
-    names = [h.strip() for h in next(reader, [])]
-    if not any(names):  # an empty file or a blank first line
-        raise CsvError(f"{path} has no header row")
-    dup = next((name for name, count in Counter(names).items() if count > 1), None)
-    if dup is not None:
-        raise CsvError(f"{path} has a duplicate column name {dup!r}")
-    return names
-
-
-def _row_chunks(reader, width: int, path: str):
-    """``reader``'s rows padded to ``width`` cells, in lists of ``_CHUNK_ROWS`` and a last shorter one."""
-    rows: list[list[str]] = []
-    for row in reader:
-        if len(row) > width:
-            raise CsvError(f"{path} line {reader.line_num} has {len(row)} cells, "
-                           f"the header has {width}")
-        if len(row) < width:
-            row += [""] * (width - len(row))  # an absent cell is missing
-        rows.append(row)
-        if len(rows) == _CHUNK_ROWS:
-            yield rows
-            rows = []
-    yield rows
-
-
-def _extend_columns(cols: list[array], rows: list[list[str]]) -> None:
-    """Append each full-width row's cells to their columns; a cell float() rejects is NaN."""
-    for col, cells in zip(cols, zip(*rows)):
-        values = map(float, map(str.strip, cells))
-        while True:
-            try:
-                col.extend(values)  # keeps what it appended before a cell raised
-                break
-            except ValueError:  # that cell is consumed; the rest follow it
-                col.append(math.nan)
-
-
-def _lines_are_rows(data: bytes) -> bool:
-    """Whether every line of ``data`` is one csv row: no '"' and no '\\r' outside '\\r\\n'."""
-    return b'"' not in data and (b"\r" not in data or data.count(b"\r") == data.count(b"\r\n"))
-
-
-def _newlines(data: bytes) -> int:
-    """The count of b'\\n' in ``data``; numpy counts 1 MiB in 0.2 ms, ``bytes.count`` in 1 ms."""
-    return int(np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n")))
-
-
-def _read_split(path: str) -> list[FeatureSeries] | None:
-    """The features of ``path`` read in k = ``usable_workers(size // _SPLIT_BYTES)`` processes.
-
-    None when k < 2, when no row follows the header, when the header holds a
-    '\\r' outside '\\r\\n' or a line below it may not be one row
-    (``_lines_are_rows``). The header is parsed with ``strict=True``, so an
-    open or misplaced quote raises csv.Error. One pass over the bytes cuts
-    the body just after a newline near each k-th of it and counts the lines,
-    so the rows, before each cut. Each range is decoded as plain UTF-8 (a
-    U+FEFF there is a cell's text, not a BOM) and read by the serial reader's
-    row loop into its columns of one (width, rows) array
-    (``_split.split_fill``). Raises on any failure, a range with too few rows
-    included.
-    """
-    size = os.stat(path).st_size
-    k = usable_workers(size // _SPLIT_BYTES)
-    if k < 2:
-        return None
-    with open(path, "rb") as fh:
-        head = fh.readline()
-        if head.count(b"\r") != head.count(b"\r\n"):  # a lone '\r' ends a csv row
-            return None
-        pos = len(head)
-        targets = [pos + (size - pos) * j // k for j in range(1, k)]
-        cuts, lines = [pos], [0]  # where each range starts, and the lines before it
-        count, last = 0, b"\n"
-        while block := fh.read(_SPLIT_BYTES):
-            if block.endswith(b"\r"):  # keep a '\r\n' in one block
-                block += fh.read(1)
-            if not _lines_are_rows(block):
-                return None
-            while targets and targets[0] < pos + len(block):
-                i = block.find(b"\n", max(targets[0] - pos, 0))
-                if i < 0:
-                    break
-                if pos + i + 1 > cuts[-1]:  # one cut can end two targets' searches
-                    cuts.append(pos + i + 1)
-                    lines.append(count + _newlines(block[:i + 1]))
-                del targets[0]
-            count += _newlines(block)
-            pos += len(block)
-            last = block[-1:]
-    rows = count + (last != b"\n")  # a last line without a newline is a row
-    if not rows:
-        return None
-    if cuts[-1] == pos:  # a cut at the end of the file starts no range
-        del cuts[-1], lines[-1]
-    cuts.append(pos)
-    lines.append(rows)
-    names = _header(csv.reader([head.decode("utf-8-sig")], strict=True), path)
-    width = len(names)
-
-    def fill(out, j):
-        at, stop = lines[j], lines[j + 1]
-        with open(path, "rb") as raw:
-            raw.seek(cuts[j])
-            text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
-            for chunk in _row_chunks(csv.reader(itertools.islice(text, stop - at)), width, path):
-                cols = [array("d") for _ in names]
-                _extend_columns(cols, chunk)
-                out[:, at:at + len(chunk)] = cols
-                at += len(chunk)
-        if at != stop:
-            raise CsvError(f"{path} changed while it was read")
-
-    return [FeatureSeries.clean(name, col)
-            for name, col in zip(names, split_fill(len(cuts) - 1, (width, rows), fill))]
-
 
 _GEN_PARAMS = {"uniform": "LOW HIGH", "gaussmix": "MEAN:SD:WEIGHT,...", "skewnorm": "XI"}
 _DEFAULTS = EngineConfig()
@@ -410,10 +232,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_test(args) -> int:
-    by_name = {f.name: f for f in read_csv_features(args.input)}
-    if args.column not in by_name:
-        raise CsvError(f"column {args.column!r} not found (have: {', '.join(by_name)})")
-    f = by_name[args.column]
+    [f] = read_csv_features(args.input, args.column)
     r = feature_report(f, describe(f), args.replicates, args.seed)
     diagnostic = f"ConstantFeature: {SKEW_UNDEFINED}" if math.isnan(r.skew_g1) else None
     if args.json:

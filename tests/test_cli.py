@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finestruct import cli, stattests
-from finestruct.cli import CsvError, main, read_csv_features
+from finestruct import cli, csvread, stattests
+from finestruct.cli import main
+from finestruct.csvread import CsvError, read_csv_features
 from finestruct.engine import EngineConfig
 from finestruct.stattests import _null_dips
 
@@ -88,14 +89,14 @@ def split(monkeypatch):
     """``split(k)`` gives the next reads k usable CPUs and a 1-byte floor; it returns the list
     of every split's range count."""
     ranges = []
-    split_fill = cli.split_fill
+    split_fill = csvread.split_fill
 
     def spy(k, nbytes, fill):
         ranges.append(k)
         return split_fill(k, nbytes, fill)
 
-    monkeypatch.setattr(cli, "split_fill", spy)
-    monkeypatch.setattr(cli, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(csvread, "split_fill", spy)
+    monkeypatch.setattr(csvread, "_SPLIT_BYTES", 1)
 
     def force(k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
@@ -174,14 +175,14 @@ class TestSplitReader:
         split(1)
         want = _columns(path)
         if fault == "killed":
-            parent, extend = os.getpid(), cli._extend_columns
+            parent, extend = os.getpid(), csvread._extend_columns
 
             def child_dies(cols, rows):
                 if os.getpid() != parent:
                     os.kill(os.getpid(), signal.SIGKILL)
                 extend(cols, rows)
 
-            monkeypatch.setattr(cli, "_extend_columns", child_dies)
+            monkeypatch.setattr(csvread, "_extend_columns", child_dies)
         else:
             def unavailable(*args):
                 raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
@@ -215,19 +216,57 @@ class TestSplitReader:
         path.write_bytes(_cut_file(b"5,6\n7,8,9\n", 2))  # a too-long row in the last range
         split(1)
         want = _columns(path)
-        parent, row_chunks, calls = os.getpid(), cli._row_chunks, []
+        parent, row_chunks, calls = os.getpid(), csvread._row_chunks, []
 
         def spy(*args):
             if os.getpid() == parent:
                 calls.append(args)
             return row_chunks(*args)
 
-        monkeypatch.setattr(cli, "_row_chunks", spy)
+        monkeypatch.setattr(csvread, "_row_chunks", spy)
         ranges = split(2)
         assert _columns(path) == want
         assert "line" in want
         assert ranges == [2]
         assert len(calls) == 2  # range 0, then the serial re-read for the message
+        _assert_no_child()
+
+    def test_header_error_reads_no_body(self, tmp_path, split, monkeypatch):
+        path = tmp_path / "x.csv"
+        path.write_bytes(_cut_file(b"5,6\n", 2))
+        ranges = split(2)
+        read_csv_features(str(path))
+        assert ranges == [2]  # a file of this size is split
+        calls = []
+
+        def spy(fn):
+            def counted(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(csvread, "_newlines", spy(csvread._newlines))
+        monkeypatch.setattr(csvread, "_row_chunks", spy(csvread._row_chunks))
+        with pytest.raises(CsvError, match=re.escape("column 'z' not found (have: a, b)")):
+            read_csv_features(str(path), "z")
+        path.write_bytes(b"a,a" + path.read_bytes()[len(b"a,b"):])
+        with pytest.raises(CsvError, match="duplicate column name 'a'"):
+            read_csv_features(str(path), "a")
+        assert calls == [] and ranges == [2]
+        _assert_no_child()
+
+    def test_test_command_prints_as_one_cpu(self, tmp_path, split, capsys):
+        path = _write_normal_csv(tmp_path / "x.csv", n=200, cols=("a", "b", "c"))
+
+        def stdout(name):
+            assert main(["test", str(path), name, "--replicates", "20"]) == 0
+            return capsys.readouterr().out
+
+        ranges = split(1)
+        want = {name: stdout(name) for name in "abc"}
+        split(2)
+        assert {name: stdout(name) for name in "abc"} == want
+        assert ranges == [2, 2, 2] and len(set(want.values())) == 3
         _assert_no_child()
 
 
@@ -520,6 +559,12 @@ class TestTestCommand:
         csv_path = _write_normal_csv(tmp_path / "in.csv")
         assert main(["test", str(csv_path), "zzz"]) == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_missing_column_fails_before_a_long_row(self, tmp_path, capsys):
+        p = tmp_path / "x.csv"
+        p.write_text("a,b\n1,2\n3,4,5\n")
+        assert main(["test", str(p), "z"]) == 2
+        assert capsys.readouterr().err == "error: column 'z' not found (have: a, b)\n"
 
     def test_bom_prefixed_first_column_found(self, tmp_path, capsys):
         csv_path = _write_normal_csv(tmp_path / "in.csv")

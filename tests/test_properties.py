@@ -7,6 +7,7 @@ The dip's mirror property also draws multiples of 5e-324 beside values near 1.
 The CLI properties draw whole CSV files instead: cells, names and row shapes.
 """
 import contextlib
+import csv
 import io
 import json
 import math
@@ -34,8 +35,9 @@ from finestruct import (
     pareto_radius,
     pde_estimate,
 )
-from finestruct import cli, density
-from finestruct.cli import CsvError, main, read_csv_features
+from finestruct import csvread, density
+from finestruct.cli import main
+from finestruct.csvread import CsvError, read_csv_features
 from finestruct.stattests import _skew_z
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=500, deadline=None, database=None)
@@ -268,8 +270,8 @@ def _assert_reader_matches_reference(text):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         expected = _read_columns(read_csv_reference, path)
-        for chunk in (1, 2, 3, cli._CHUNK_ROWS):
-            with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+        for chunk in (1, 2, 3, csvread._CHUNK_ROWS):
+            with mock.patch.object(csvread, "_CHUNK_ROWS", chunk):
                 got = _read_columns(
                     lambda p: [(f.name, f.values, f.missing_count) for f in read_csv_features(p)],
                     path)
@@ -293,15 +295,43 @@ def test_split_reader_matches_per_cell_reference(text):
             fh.write(text)
         expected = _read_columns(read_csv_reference, path)
         for cpus in (2, 3, 4):
-            for chunk in (1, cli._CHUNK_ROWS):
-                with mock.patch.object(cli, "_SPLIT_BYTES", 1), \
-                        mock.patch.object(cli, "_CHUNK_ROWS", chunk), \
+            for chunk in (1, csvread._CHUNK_ROWS):
+                with mock.patch.object(csvread, "_SPLIT_BYTES", 1), \
+                        mock.patch.object(csvread, "_CHUNK_ROWS", chunk), \
                         mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                           create=True):
                     got = _read_columns(
                         lambda p: [(f.name, f.values, f.missing_count) for f in read_csv_features(p)],
                         path)
                 assert got == expected, (cpus, chunk)
+    with pytest.raises(ChildProcessError):  # every forked reader was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.one_of(csv_texts(), reader_csv_texts()))
+def test_one_column_read_matches_whole_read(text):
+    # ``test`` reads one column: for each header name it gets the whole read's
+    # feature of that name, or the same error, serially and split
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        whole = _read_columns(
+            lambda p: [(f.name, f.values, f.missing_count) for f in read_csv_features(p)], path)
+        names = dict.fromkeys(h.strip() for h in next(csv.reader(io.StringIO(text, newline="")), []))
+        for cpus in (1, 2, 3):
+            for chunk in (1, csvread._CHUNK_ROWS):
+                with mock.patch.object(csvread, "_SPLIT_BYTES", 1), \
+                        mock.patch.object(csvread, "_CHUNK_ROWS", chunk), \
+                        mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                          create=True):
+                    for name in names:
+                        got = _read_columns(
+                            lambda p: [(f.name, f.values, f.missing_count)
+                                       for f in read_csv_features(p, name)], path)
+                        want = whole if isinstance(whole, str) else [c for c in whole if c[0] == name]
+                        assert got == want, (cpus, chunk, name)
     with pytest.raises(ChildProcessError):  # every forked reader was reaped
         os.waitpid(-1, os.WNOHANG)
 
