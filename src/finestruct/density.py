@@ -178,7 +178,7 @@ def pareto_radius(values, seed: int = 0) -> float:
     if r <= 0.0:
         gaps = np.diff(sample)
         if not gaps.any():  # subsample happened to be constant; fall back to the full data
-            gaps = np.diff(np.unique(x))
+            gaps = np.diff(np.sort(x))
         r = float(gaps[gaps > 0.0].min())
     if n > LARGE_N_THRESHOLD:
         r *= (n / LARGE_N_THRESHOLD) ** (-0.2)
@@ -203,7 +203,8 @@ def pde_estimate(values, seed: int = 0) -> DensityCurve:
         raise BadRange(f"radius {r!r} is below float resolution")
     m = int(np.ceil(min((hi - lo) / step, GRID_MAX))) + 1
     m = min(max(m, GRID_MIN), GRID_MAX)
-    kernels = np.linspace(lo, hi, m)
+    with np.errstate(over="ignore"):  # step * (m - 1) may round past the float maximum; linspace then sets hi
+        kernels = np.linspace(lo, hi, m)
     if np.any(np.diff(kernels) <= 0):
         raise BadRange(f"[{lo!r}, {hi!r}] holds fewer than {m} distinct floats")
     xs = np.sort(x)

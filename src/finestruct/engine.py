@@ -223,7 +223,8 @@ def analyze_feature(f: FeatureSeries, cfg: EngineConfig) -> GlyphModel:
     i.e. neither test rejects at level alpha.
     """
     stats = describe(f)
-    n_unique = int(np.unique(f.values).size)
+    xs = np.sort(f.values)  # not np.unique, which imports numpy.ma; != cannot overflow as np.diff can
+    n_unique = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
     feature_seed = derive_seed(cfg.seed, f.name)
 
     if len(f) < cfg.min_data or n_unique < cfg.min_unique:

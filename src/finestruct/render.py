@@ -114,7 +114,8 @@ def gaussian_overlay_path(mu: float, sigma: float, kernels, width_scale: float =
     """
     mu, sigma = check_real("mu", mu), check_real("sigma", sigma, 0.0, math.inf)
     k = real_values(kernels)
-    pdf = np.exp(-0.5 * ((k - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore"):  # a z that squares to inf gives exp(-inf) = 0, the right value
+        pdf = np.exp(-0.5 * ((k - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
     return pdf * width_scale
 
 

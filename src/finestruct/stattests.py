@@ -66,26 +66,25 @@ class TestReport:
         return asdict(self)
 
 
-def _hull_links(sides: tuple, windows: list, rounds: bool) -> None:
+def _hull_links(flat: np.ndarray, x: list, link: list, windows: list, rounds: bool) -> None:
     """Link the greatest-convex-minorant knots of each window's points.
 
-    A window (s, lo, hi) holds the points (x[j], j), lo <= j <= hi, of the side
-    (flat, x, link): ``flat`` holds the values of the list ``x``, ascending
-    within the window. Afterwards the chain hi, link[hi], link[link[hi]], ...
-    steps down the window's knots to lo. With ``rounds`` the candidates are
-    first pruned in numpy, all windows at once: drop the points not strictly
-    below the chord from lo to hi, then delete every inner point that fails
-    the strict convexity test against its neighbours, round after round, while
-    a round removes at least an eighth of them and of ``_NUMPY_POINTS``. The
-    stack loop then decides every knot with the same test; without rounds it
-    links every prefix of the window, so each later window inside it has its
-    chain already.
+    A window (lo, hi) holds the points (x[j], j), lo <= j <= hi; ``flat`` holds
+    the values of the list ``x``, ascending within each window. Afterwards the
+    chain hi, link[hi], link[link[hi]], ... steps down the window's knots to lo.
+    With ``rounds`` the candidates are first pruned in numpy, all windows at
+    once: drop the points not strictly below the chord from lo to hi, then
+    delete every inner point that fails the strict convexity test against its
+    neighbours, round after round, while a round removes at least an eighth of
+    them and of ``_NUMPY_POINTS``. The stack loop then decides every knot with
+    the same test; without rounds it links every prefix of the window, so each
+    later window inside it has its chain already.
     """
     if not rounds:
-        cands = [range(lo, hi + 1) for _, lo, hi in windows]
+        cands = [range(lo, hi + 1) for lo, hi in windows]
     else:
-        v = np.concatenate([sides[s][0][lo:hi + 1] for s, lo, hi in windows])
-        size = np.array([hi - lo + 1 for _, lo, hi in windows])
+        v = np.concatenate([flat[lo:hi + 1] for lo, hi in windows])
+        size = np.array([hi - lo + 1 for lo, hi in windows])
         first = np.cumsum(size) - size
         t = np.arange(v.size, dtype=float) - np.repeat(first, size)  # offset from lo
         u = np.repeat(size - 1.0, size) - t  # offset to hi
@@ -103,9 +102,8 @@ def _hull_links(sides: tuple, windows: list, rounds: bool) -> None:
             keep[1:-1] |= dv[1:] * dt[:-1] < dv[:-1] * dt[1:]
         cuts = (t == 0).nonzero()[0].tolist()
         t = t.astype(np.int64).tolist()
-        cands = [[lo + k for k in t[i:j]] for (_, lo, _), i, j in zip(windows, cuts, [*cuts[1:], len(t)])]
-    for (s, low, _), c in zip(windows, cands):
-        _, x, link = sides[s]
+        cands = [[lo + k for k in t[i:j]] for (lo, _), i, j in zip(windows, cuts, [*cuts[1:], len(t)])]
+    for (low, _), c in zip(windows, cands):
         m = low
         for j in itertools.islice(c, 1, None):
             xj = x[j]
@@ -170,15 +168,15 @@ def _dips_sorted(X: np.ndarray) -> list:
     ``high``, so the hull of [low..high] is that minorant's chain from
     ``high`` down to ``low``. The majorant is the minorant of the reflected
     row, whose every comparison multiplies the same two floats with both
-    signs flipped. The walk between the two fits runs per row on its knots.
+    signs flipped; one array and one link list hold the block, then its rows
+    reflected. The walk between the two fits runs per row on its knots.
     """
     rows, n = X.shape
     flat = X.ravel()
-    mirror = -flat[::-1]  # row r, reflected, is mirror row rows - 1 - r
-    top = flat.size - 1  # flat index i mirrors to top - i
-    x = flat.tolist()
-    mn, mj = [0] * flat.size, [0] * flat.size  # minorant links of x and of the mirror
-    sides = ((flat, x, mn), (mirror, mirror.tolist(), mj))
+    both = np.concatenate([flat, -flat[::-1]])  # the block, then its rows reflected
+    top = both.size - 1  # index i reflects to top - i
+    x = both.tolist()
+    link = [0] * both.size  # minorant links of both halves
     dip = [1.0] * rows  # in 2n units; enforces the 1/(2n) lower bound
     low = list(range(0, flat.size, n))  # flat indices
     high = [i + n - 1 for i in low]
@@ -188,8 +186,8 @@ def _dips_sorted(X: np.ndarray) -> list:
         fresh = [r for r in live if not linked[r]]
         if fresh:
             rounds = sum([high[r] - low[r] + 1 for r in fresh]) >= _NUMPY_POINTS
-            windows = [(0, low[r], high[r]) for r in fresh] + [(1, top - high[r], top - low[r]) for r in fresh]
-            _hull_links(sides, windows, rounds)
+            windows = [(low[r], high[r]) for r in fresh] + [(top - high[r], top - low[r]) for r in fresh]
+            _hull_links(both, x, link, windows, rounds)
             if not rounds:
                 for r in fresh:
                     linked[r] = True
@@ -199,13 +197,13 @@ def _dips_sorted(X: np.ndarray) -> list:
             lo, hi = low[r], high[r]
             gcm = [hi]  # minorant knots, from high down to low
             while gcm[-1] > lo:
-                gcm.append(mn[gcm[-1]])
+                gcm.append(link[gcm[-1]])
             l_gcm = ig = len(gcm) - 1
             ix = ig - 1
 
             lcm = [lo]  # majorant knots, from low up to high
             while lcm[-1] < hi:
-                lcm.append(top - mj[top - lcm[-1]])
+                lcm.append(top - link[top - lcm[-1]])
             l_lcm = ih = len(lcm) - 1
             iv = 1
 
@@ -252,7 +250,7 @@ def _dips_sorted(X: np.ndarray) -> list:
                     chords.append((jb, je, -1))
             moved.append((r, slice(first, len(chords)), gcm[ig], lcm[ih]))
 
-        peaks = _chord_peaks(flat, x, chords)
+        peaks = _chord_peaks(both, x, chords)
         live = []
         for r, own, lo, hi in moved:
             dip_new = max(peaks[own], default=0.0)
@@ -304,11 +302,12 @@ def _null_dips(n: int, b: int, seed: int) -> np.ndarray:
     computes one twice, however many distinct n its columns have. The
     replicates are split into k contiguous ranges, one per usable CPU with
     at least ``_MIN_SPLIT_POINTS`` points each, and ``_split.split_fill``
-    computes them at once in forked children; if that split fails (a
-    mapping, a fork or a child), this process computes the whole null.
-    Replicate i depends only on (seed, i), so the bytes are the same for
-    every k and whichever process computes a range. ``_null_workers`` gets
-    the number of processes that computed it: k, or 1 after a failed split.
+    computes them at once, range 0 here and the rest in forked children (a
+    null that is not split, k = 1, forks nothing); if that fails (a mapping,
+    a fork or a child), this process computes the whole null. Replicate i
+    depends only on (seed, i), so the bytes are the same for every k and
+    whichever process computes a range. ``_null_workers`` gets the number of
+    processes that computed it: k, or 1 after a failed split.
     """
     k = usable_workers(min(b, n * b // _MIN_SPLIT_POINTS))
     bounds = [b * j // k for j in range(k + 1)]
@@ -316,13 +315,10 @@ def _null_dips(n: int, b: int, seed: int) -> np.ndarray:
     def fill(out, j):
         out[bounds[j]:bounds[j + 1]] = _null_range(n, bounds[j], bounds[j + 1], seed)
 
-    if k > 1:
-        try:
-            null = split_fill(k, b, fill).copy()  # a plain array for the cache
-        except OSError:  # no mapping, a fork or a child failed: computed here instead
-            k = 1
-    if k == 1:
-        null = _null_range(n, 0, b, seed)
+    try:
+        null = split_fill(k, b, fill).copy()  # a plain array for the cache
+    except OSError:  # no mapping, a fork or a child failed: computed here instead
+        k, null = 1, _null_range(n, 0, b, seed)
     _null_workers.append(k)
     null.setflags(write=False)
     return null

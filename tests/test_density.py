@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,17 @@ class TestPdeEstimate:
         curve = pde_estimate(x)
         assert curve.kernels[0] == x.min()
         assert curve.kernels[-1] == x.max()
+
+    def test_grid_reaching_the_float_maximum(self):
+        # linspace's step times m - 1 rounds past the float maximum before it sets the last kernel to hi
+        x = np.append(np.random.default_rng(0).normal(size=59), np.finfo(float).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = pde_estimate(x)
+        assert curve.kernels[0] == x.min()
+        assert curve.kernels[-1] == x.max()
+        assert np.all(np.isfinite(curve.kernels)) and np.all(np.isfinite(curve.densities))
+        assert curve.integral() == pytest.approx(1.0, abs=1e-9)
 
     def test_grid_count_clamped(self):
         rng = np.random.default_rng(14)

@@ -69,3 +69,15 @@ def test_unknown_attribute_raises_naming_the_package():
            "else:\n"
            "    raise AssertionError('no AttributeError')\n"
            f"{LAZY}\n")
+
+
+def test_plot_imports_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (numpy 2.4); nothing a plot needs does
+    csv, svg = tmp_path / "m.csv", tmp_path / "m.svg"
+    csv.write_text("a,b\n" + "".join(f"{i % 17 / 3!r},{(i * 7919) % 101}\n" for i in range(300)))
+    _fresh("import sys, numpy\n"
+           "preloaded = 'numpy.ma' in sys.modules\n"
+           "from finestruct.cli import main\n"
+           f"assert main(['plot', {str(csv)!r}, '-o', {str(svg)!r}, '--replicates', '20']) == 0\n"
+           "assert preloaded or 'numpy.ma' not in sys.modules\n")
+    assert svg.exists()

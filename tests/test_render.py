@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -180,6 +181,13 @@ class TestGaussianOverlayPath:
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             gaussian_overlay_path(0.0, 0.0, [0.0, 1.0])
+
+    def test_kernels_at_the_float_limit(self):
+        # z**2 overflows to inf there, and exp(-inf) = 0 is the pdf's value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = gaussian_overlay_path(0.0, 1.0, [-1.7e308, 0.0, 1.7e308])
+        assert path.tolist() == [0.0, 1.0 / math.sqrt(2.0 * math.pi), 0.0]
 
 
 class TestNiceTicks:

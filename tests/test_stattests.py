@@ -354,6 +354,21 @@ class TestNullSplit:
         assert capsys.readouterr().out == out
         _assert_no_child()
 
+    def test_unsplit_null_without_mapping_computes_in_process(self, workers, monkeypatch):
+        # one usable CPU still goes through split_fill, whose mapping fails here
+        calls = []
+
+        def unavailable(*args):
+            calls.append(args)
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        want = stattests._null_range(120, 0, 40, 6).tobytes()
+        monkeypatch.setattr(mmap, "mmap", unavailable)
+        workers(1)
+        assert stattests._null_dips(120, 40, 6).tobytes() == want
+        assert stattests._null_workers[-1] == 1
+        assert calls == [(-1, 8 * 40)]
+
     @pytest.mark.parametrize("failure", ["raises", "short", "killed"])
     def test_failed_child_range_computed_in_process(self, workers, monkeypatch, failure):
         want = stattests._null_range(300, 0, 90, 5).tobytes()
